@@ -2,10 +2,11 @@
 // registry (HYTAP_METRICS), per-query tracing (HYTAP_TRACE), the workload
 // monitor (HYTAP_WORKLOAD_MONITOR), the flight recorder
 // (HYTAP_FLIGHT_RECORDER), and latency phase accounting
-// (HYTAP_PHASE_ACCOUNTING) on vs off, over a Fig. 9-style tiered table
-// (DRAM id column + width-10 tiered payload) driven end-to-end through the
-// executor, through the raw MRC scan kernel, and through the serving front
-// end (whose admit/dispatch/complete path is the recorder's per-query hot
+// (HYTAP_PHASE_ACCOUNTING; on the serving workload, the whole latency
+// profiler with its SLO burn rates) on vs off, over a Fig. 9-style tiered
+// table (DRAM id column + width-10 tiered payload) driven end-to-end through
+// the executor, through the raw MRC scan kernel, and through the serving
+// front end (whose admit/dispatch/complete path is the recorder's per-query hot
 // path). Acceptance targets: metrics <= 3 %, monitor <= 3 %, flight
 // recorder <= 3 %, phase accounting <= 3 %, tracing <= 10 % on the
 // executor mix. Reps alternate configurations in-process (min-of-N,
@@ -304,12 +305,14 @@ int main(int argc, char** argv) {
     so.max_sessions = 2;
     so.default_threads = 1;
     SessionManager& sm = table.EnableServing(so);
-    // The phases config additionally pays the profiler fold at every
-    // ticket-order flush (histograms + tail test + attribution walk).
+    // Only the phases config attaches the profiler, so it alone pays the
+    // profiler's whole fold at every ticket-order flush: SLO burn rates
+    // (which run whatever the phase knob says) plus histograms, tail test
+    // and attribution walk.
     LatencyProfiler profiler;
-    sm.set_latency_profiler(&profiler);
     const std::vector<Query> queries = QueryMix(small ? 20000 : 50000);
     serving_sample = MeasureConfigs("serving_mix", reps, [&] {
+      sm.set_latency_profiler(PhaseAccountingEnabled() ? &profiler : nullptr);
       std::vector<SessionHandle> handles;
       handles.reserve(queries.size() * 4);
       for (size_t pass = 0; pass < 4; ++pass) {
@@ -351,8 +354,9 @@ int main(int argc, char** argv) {
       GatePasses(serving_sample, kFlightGatePct,
                  serving_sample.flight_seconds);
   // Phase accounting touches the executor's pass boundaries (four IoStats
-  // snapshots per query) and the serving flush (profiler fold per ticket);
-  // the raw scan kernel has no phase hook, so its gate covers those two.
+  // snapshots per query) and the serving flush (profiler fold per ticket,
+  // SLO burn rates included); the raw scan kernel has no phase hook, so its
+  // gate covers those two.
   const bool phases_ok =
       GatePasses(executor_sample, kPhaseGatePct,
                  executor_sample.phases_seconds) &&

@@ -3,10 +3,9 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "common/env.h"
 #include "common/metrics.h"
 
 namespace hytap::bench {
@@ -30,16 +29,11 @@ inline void PrintHeader(const char* title) {
 }
 
 /// Dumps the process-wide metrics registry to METRICS_<bench_name>.json when
-/// HYTAP_BENCH_METRICS is set ("1"/"on"/"true"); a no-op otherwise. Every
+/// HYTAP_BENCH_METRICS is on (default off); a no-op otherwise. Every
 /// bench main calls this last, so any benchmark run can emit an
 /// observability snapshot alongside its BENCH_*.json result.
 inline void MaybeWriteMetricsSnapshot(const char* bench_name) {
-  const char* env = std::getenv("HYTAP_BENCH_METRICS");
-  if (env == nullptr ||
-      (std::strcmp(env, "1") != 0 && std::strcmp(env, "on") != 0 &&
-       std::strcmp(env, "true") != 0)) {
-    return;
-  }
+  if (!EnvBool("HYTAP_BENCH_METRICS", false)) return;
   const std::string path = std::string("METRICS_") + bench_name + ".json";
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {

@@ -6,30 +6,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <mutex>
 #include <set>
 #include <tuple>
 
+#include "common/env.h"
 #include "common/metrics.h"
 
 namespace hytap {
 namespace {
-
-bool EnvBool(const char* name, bool fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return !(std::strcmp(value, "0") == 0 || std::strcmp(value, "off") == 0 ||
-           std::strcmp(value, "false") == 0 || std::strcmp(value, "OFF") == 0);
-}
-
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value) return fallback;
-  return static_cast<uint64_t>(parsed);
-}
 
 std::atomic<int> g_enabled{-1};  // -1 = unresolved, 0 = off, 1 = on
 
@@ -320,12 +306,19 @@ uint64_t FlightRecorder::total_recorded() const {
 
 bool ReadFlightDump(const std::string& path, std::vector<FlightEvent>* events,
                     std::string* reason) {
+  std::error_code size_error;
+  const uintmax_t bytes = std::filesystem::file_size(path, size_error);
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) return false;
   FlightDumpHeader header;
-  bool ok = std::fread(&header, sizeof(header), 1, file) == 1 &&
+  bool ok = !size_error && bytes >= sizeof(header) &&
+            std::fread(&header, sizeof(header), 1, file) == 1 &&
             std::memcmp(header.magic, "HYFR", 4) == 0 && header.version == 1 &&
             header.event_size == sizeof(FlightEvent);
+  // Bound the claimed count by the bytes the file holds before allocating:
+  // a corrupt header must fail cleanly, not request an arbitrary allocation.
+  ok = ok &&
+       header.event_count <= (bytes - sizeof(header)) / sizeof(FlightEvent);
   if (ok) {
     events->resize(header.event_count);
     if (header.event_count > 0) {

@@ -171,7 +171,8 @@ struct FlightDumpHeader {
 static_assert(sizeof(FlightDumpHeader) == 88, "dump header layout");
 
 // Reads a dump written by FlightRecorder::DumpTo. Returns false on short
-// read / bad magic / size mismatch. `reason` may be null.
+// read / bad magic / size mismatch, or when the header claims more events
+// than the file holds. `reason` may be null.
 bool ReadFlightDump(const std::string& path, std::vector<FlightEvent>* events,
                     std::string* reason);
 

@@ -4,27 +4,15 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/assert.h"
+#include "common/env.h"
 
 namespace hytap {
 
 namespace metrics_internal {
 
-namespace {
-
-bool EnabledFromEnv() {
-  const char* env = std::getenv("HYTAP_METRICS");
-  if (env == nullptr) return true;
-  return std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0 &&
-         std::strcmp(env, "false") != 0;
-}
-
-}  // namespace
-
-std::atomic<bool> g_enabled{EnabledFromEnv()};
+std::atomic<bool> g_enabled{EnvBool("HYTAP_METRICS", true)};
 
 size_t ShardSlot() {
   static std::atomic<size_t> next{0};

@@ -1,20 +1,13 @@
 #include "common/phases.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
+
+#include "common/env.h"
 
 namespace hytap {
 namespace {
 
 std::atomic<int> g_enabled{-1};  // -1 = unresolved, 0 = off, 1 = on
-
-bool EnvBool(const char* name, bool fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return !(std::strcmp(value, "0") == 0 || std::strcmp(value, "off") == 0 ||
-           std::strcmp(value, "false") == 0 || std::strcmp(value, "OFF") == 0);
-}
 
 }  // namespace
 

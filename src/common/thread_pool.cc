@@ -1,9 +1,9 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/assert.h"
+#include "common/env.h"
 
 namespace hytap {
 
@@ -75,10 +75,8 @@ ThreadPool& ThreadPool::Global() {
 }
 
 size_t ThreadPool::DefaultWorkerCount() {
-  if (const char* env = std::getenv("HYTAP_THREADS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed >= 1) return static_cast<size_t>(parsed);
-  }
+  const uint64_t threads = EnvU64("HYTAP_THREADS", 0);
+  if (threads >= 1) return static_cast<size_t>(threads);
   const size_t hw = std::thread::hardware_concurrency();
   return std::max<size_t>(hw, 8);
 }

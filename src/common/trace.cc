@@ -2,25 +2,15 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+
+#include "common/env.h"
 
 namespace hytap {
 
 namespace trace_internal {
 
-namespace {
-
-bool EnabledFromEnv() {
-  const char* env = std::getenv("HYTAP_TRACE");
-  if (env == nullptr) return false;
-  return std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0 ||
-         std::strcmp(env, "true") == 0;
-}
-
-}  // namespace
-
-std::atomic<bool> g_enabled{EnabledFromEnv()};
+std::atomic<bool> g_enabled{EnvBool("HYTAP_TRACE", false)};
 
 }  // namespace trace_internal
 

@@ -1,11 +1,10 @@
 #include "core/retier_daemon.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "common/assert.h"
+#include "common/env.h"
 #include "common/flight_recorder.h"
 #include "common/metrics.h"
 #include "selection/cost_model.h"
@@ -58,23 +57,6 @@ struct RetierMetrics {
     beta_milli = registry.GetGauge("hytap_retier_beta_milli");
   }
 };
-
-double EnvDouble(const char* name, double fallback) {
-  const char* env = std::getenv(name);
-  return env == nullptr ? fallback : std::strtod(env, nullptr);
-}
-
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* env = std::getenv(name);
-  return env == nullptr ? fallback : std::strtoull(env, nullptr, 10);
-}
-
-bool EnvBool(const char* name, bool fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return fallback;
-  return std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0 &&
-         std::strcmp(env, "false") != 0;
-}
 
 /// Appends pending steps migrating `table` toward `target`: evictions first
 /// (free DRAM before loads consume it), then loads, ascending column id

@@ -4,22 +4,13 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/assert.h"
+#include "common/env.h"
 #include "common/flight_recorder.h"
 
 namespace hytap {
 namespace {
-
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value) return fallback;
-  return static_cast<uint64_t>(parsed);
-}
 
 const char* ClassName(QueryClass cls) {
   return cls == QueryClass::kOltp ? "oltp" : "olap";
@@ -77,6 +68,27 @@ struct PhaseMetrics {
   }
 };
 
+/// SLO counters, kept apart from PhaseMetrics: the SLO fold also runs while
+/// phase accounting is off, when no hytap_phase_* family is registered.
+struct SloMetrics {
+  Counter* observations;
+  Counter* violations;
+  Counter* breaches;
+  Counter* clears;
+  static SloMetrics& Get() {
+    MetricsRegistry& reg = MetricsRegistry::Global();
+    static SloMetrics m{reg.GetCounter("hytap_slo_observations_total"),
+                        reg.GetCounter("hytap_slo_violations_total"),
+                        reg.GetCounter("hytap_slo_breaches_total"),
+                        reg.GetCounter("hytap_slo_clears_total")};
+    return m;
+  }
+};
+
+int64_t BurnMilli(double burn) {
+  return static_cast<int64_t>(std::min(burn, 1e15) * 1000.0);
+}
+
 /// Greedy descent from the root: at every level follow the child with the
 /// largest inclusive simulated time (ties -> first child, which is the
 /// earlier execution step), recording exclusive time and the selectivity
@@ -114,6 +126,15 @@ LatencyProfiler::Options LatencyProfiler::Options::FromEnv() {
   Options options;
   options.oltp_slo_ns = EnvU64("HYTAP_SLO_OLTP_NS", options.oltp_slo_ns);
   options.olap_slo_ns = EnvU64("HYTAP_SLO_OLAP_NS", options.olap_slo_ns);
+  options.target_ppm = std::min<uint64_t>(
+      EnvU64("HYTAP_SLO_TARGET_PPM", options.target_ppm), 999'999);
+  options.burn_threshold =
+      EnvDouble("HYTAP_SLO_BURN_THRESHOLD", options.burn_threshold);
+  options.fast_windows = std::max<size_t>(
+      1, EnvU64("HYTAP_SLO_FAST_WINDOWS", options.fast_windows));
+  options.slow_windows = std::max<size_t>(
+      options.fast_windows,
+      EnvU64("HYTAP_SLO_SLOW_WINDOWS", options.slow_windows));
   options.min_tail_samples =
       EnvU64("HYTAP_PHASE_MIN_TAIL_SAMPLES", options.min_tail_samples);
   options.max_attributions = size_t(
@@ -121,7 +142,11 @@ LatencyProfiler::Options LatencyProfiler::Options::FromEnv() {
   return options;
 }
 
-LatencyProfiler::LatencyProfiler(Options options) : options_(options) {
+LatencyProfiler::LatencyProfiler(Options options)
+    : options_(options),
+      budget_(std::max(1e-9, (1e6 - static_cast<double>(std::min<uint64_t>(
+                                        options.target_ppm, 999'999))) /
+                                 1e6)) {
   const std::vector<uint64_t> bounds = DurationNsBuckets();
   for (ClassState& state : classes_) {
     state.latencies.bounds = bounds;
@@ -134,18 +159,27 @@ void LatencyProfiler::Observe(uint64_t ticket, QueryClass cls,
                               uint64_t latency_ns, const PhaseVector& phases,
                               const TraceSpan* trace, uint64_t window,
                               uint64_t sim_ns) {
-  if (!PhaseAccountingEnabled()) return;
-  // The invariant the whole layer rests on: the phase vector partitions the
-  // ticket's end-to-end simulated latency exactly, on every terminal path.
-  HYTAP_ASSERT(phases.Sum() == latency_ns,
-               "phase vector must sum to the simulated latency");
   HYTAP_ASSERT(executed || latency_ns == 0,
                "non-executed tickets accrue no simulated time");
+  const bool phases_on = PhaseAccountingEnabled();
+  // The invariant the phase fold rests on: the phase vector partitions the
+  // ticket's end-to-end simulated latency exactly, on every terminal path.
+  HYTAP_ASSERT(!phases_on || phases.Sum() == latency_ns,
+               "phase vector must sum to the simulated latency");
+  // One verdict for both folds: it burns SLO budget and marks a tail ticket.
+  const bool slo_breach =
+      status != StatusCode::kOk || latency_ns > ObjectiveNs(cls);
+
+  std::lock_guard<std::mutex> lock(mutex_);
+  // Cancellation is caller-initiated, not a service failure: it does not
+  // burn SLO budget. Sheds and failed executions do.
+  if (status != StatusCode::kCancelled) {
+    ObserveSloLocked(cls, slo_breach, window, sim_ns, ticket);
+  }
+  if (!phases_on) return;
 
   PhaseMetrics& metrics = PhaseMetrics::Get();
   metrics.observations->Add();
-
-  std::lock_guard<std::mutex> lock(mutex_);
   ClassState& state = classes_[static_cast<size_t>(cls)];
   ++state.observations;
   if (!executed) {
@@ -169,8 +203,6 @@ void LatencyProfiler::Observe(uint64_t ticket, QueryClass cls,
 
   // Tail test *before* folding this sample in, so the running p99 is the
   // one an operator would have seen when the ticket completed.
-  const bool slo_breach =
-      status != StatusCode::kOk || latency_ns > ObjectiveNs(cls);
   const bool p99_tail = state.latencies.count >= options_.min_tail_samples &&
                         latency_ns >= state.latencies.Quantile(0.99);
 
@@ -224,6 +256,68 @@ void LatencyProfiler::Observe(uint64_t ticket, QueryClass cls,
   }
 }
 
+void LatencyProfiler::ObserveSloLocked(QueryClass cls, bool bad,
+                                       uint64_t window, uint64_t sim_ns,
+                                       uint64_t ticket) {
+  SloMetrics& metrics = SloMetrics::Get();
+  ClassState& state = classes_[static_cast<size_t>(cls)];
+  if (state.windows.empty() || state.windows.back().index < window) {
+    state.windows.push_back(WindowBucket{window, 0, 0});
+    while (state.windows.size() > std::max<size_t>(1, options_.slow_windows)) {
+      state.windows.pop_front();
+    }
+  }
+  WindowBucket& bucket = state.windows.back();
+  if (bad) {
+    ++bucket.bad;
+    ++state.violations;
+    metrics.violations->Add();
+  } else {
+    ++bucket.good;
+  }
+  ++state.slo_observations;
+  metrics.observations->Add();
+
+  state.fast_burn = BurnOver(state, options_.fast_windows);
+  state.slow_burn = BurnOver(state, options_.slow_windows);
+  const bool breached = state.fast_burn >= options_.burn_threshold &&
+                        state.slow_burn >= options_.burn_threshold;
+  if (breached && !state.breached) {
+    state.breached = true;
+    ++state.breaches;
+    metrics.breaches->Add();
+    const uint64_t burn_milli = uint64_t(BurnMilli(state.fast_burn));
+    FlightRecorder::Global().Record(
+        FlightEventType::kSloBreach, static_cast<uint16_t>(window & 0xffff),
+        ticket, window, sim_ns, static_cast<uint64_t>(cls), burn_milli);
+    FlightRecorder::Global().Anomaly(
+        AnomalyKind::kSloBreach,
+        cls == QueryClass::kOltp ? "slo_breach_oltp" : "slo_breach_olap",
+        ticket, window, sim_ns, static_cast<uint64_t>(cls), burn_milli);
+  } else if (!breached && state.breached) {
+    state.breached = false;
+    ++state.clears;
+    metrics.clears->Add();
+    FlightRecorder::Global().Record(FlightEventType::kSloClear, 0, ticket,
+                                    window, sim_ns,
+                                    static_cast<uint64_t>(cls));
+  }
+}
+
+double LatencyProfiler::BurnOver(const ClassState& state, size_t span) const {
+  uint64_t good = 0;
+  uint64_t bad = 0;
+  size_t counted = 0;
+  for (auto it = state.windows.rbegin();
+       it != state.windows.rend() && counted < span; ++it, ++counted) {
+    good += it->good;
+    bad += it->bad;
+  }
+  const uint64_t total = good + bad;
+  if (total == 0) return 0.0;
+  return static_cast<double>(bad) / static_cast<double>(total) / budget_;
+}
+
 LatencyProfiler::ClassSnapshot LatencyProfiler::Snapshot(
     QueryClass cls) const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -240,6 +334,13 @@ LatencyProfiler::ClassSnapshot LatencyProfiler::Snapshot(
   out.latency_p50_ns = state.latencies.Quantile(0.50);
   out.latency_p99_ns = state.latencies.Quantile(0.99);
   out.latency_p999_ns = state.latencies.Quantile(0.999);
+  out.slo_observations = state.slo_observations;
+  out.violations = state.violations;
+  out.fast_burn = state.fast_burn;
+  out.slow_burn = state.slow_burn;
+  out.breached = state.breached;
+  out.breaches = state.breaches;
+  out.clears = state.clears;
   return out;
 }
 
@@ -395,6 +496,9 @@ void LatencyProfiler::ExportMetrics() const {
                     ? 0
                     : int64_t(state.phase_sum.ns[p] * 1'000'000 / total));
     }
+    const std::string slo = std::string("hytap_slo_") + cls + "_";
+    reg.GetGauge(slo + "burn_milli")->Set(BurnMilli(state.fast_burn));
+    reg.GetGauge(slo + "breached")->Set(state.breached ? 1 : 0);
   }
 }
 

@@ -1,20 +1,35 @@
 #ifndef HYTAP_SERVING_LATENCY_PROFILER_H_
 #define HYTAP_SERVING_LATENCY_PROFILER_H_
 
-// Deterministic latency attribution for served queries (DESIGN.md §17).
+// Per-class SLO burn rates and deterministic latency attribution for served
+// queries (DESIGN.md §17).
 //
 // The session manager feeds one terminal observation per ticket — in ticket
-// order, from the reorder-buffer flush — carrying the ticket's phase vector
-// (common/phases.h) and, when tracing is on, its trace tree. The profiler
-// aggregates per-class phase histograms and, for tail tickets (over the
-// class SLO objective, failed, or at/above the running interpolated p99),
-// produces an *attribution*: phases ranked by charge plus a critical-path
-// walk down the trace tree (the child with the largest inclusive simulated
-// time at every level, with est-vs-actual selectivities along the path).
-// Everything is computed from simulated time in ticket order, so reports
-// are bit-identical across worker counts.
+// order, from the reorder-buffer flush — carrying the ticket's simulated
+// latency (its execution's IoStats::TotalNs()), its phase vector
+// (common/phases.h) and, when tracing is on, its trace tree. Each
+// observation is folded twice:
+//
+// - SLO burn rates, always. A ticket is bad when it failed, was shed, or
+//   exceeded its class objective; cancellations are caller-initiated and
+//   never judged. Verdicts are bucketed by workload-monitor window index.
+//   Following the SRE multi-window pattern, the error budget is
+//   (1e6 - target_ppm) / 1e6 and a class breaches when BOTH the fast span
+//   (newest fast_windows windows) and the slow span (newest slow_windows)
+//   burn at >= burn_threshold times budget. A breach fires a kSloBreach
+//   flight event and an anomaly-triggered dump; recovery fires kSloClear.
+// - Phase attribution, while PhaseAccountingEnabled(). Per-class phase
+//   histograms and, for tail tickets (over the class objective, failed, or
+//   at/above the running interpolated p99), an *attribution*: phases ranked
+//   by charge plus a critical-path walk down the trace tree (the child with
+//   the largest inclusive simulated time at every level, with
+//   est-vs-actual selectivities along the path).
+//
+// Everything is computed from simulated time in ticket order, so SLO state
+// and reports are bit-identical across worker counts.
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -29,10 +44,21 @@ namespace hytap {
 class LatencyProfiler {
  public:
   struct Options {
-    /// Latency objectives per class, shared with the SLO monitor
+    /// Latency objectives per class (simulated ns): a ticket over its class
+    /// objective burns SLO budget and is a tail ticket
     /// (HYTAP_SLO_OLTP_NS / HYTAP_SLO_OLAP_NS).
     uint64_t oltp_slo_ns = 2'000'000;      // 2 ms
     uint64_t olap_slo_ns = 2'000'000'000;  // 2 s
+    /// Availability target in good-ticket ppm (HYTAP_SLO_TARGET_PPM,
+    /// default 999000 = 99.9 %, at most 999999).
+    uint64_t target_ppm = 999'000;
+    /// Breach when fast AND slow burn rates are >= this multiple of budget
+    /// (HYTAP_SLO_BURN_THRESHOLD).
+    double burn_threshold = 1.0;
+    /// Window spans of the two burn evaluations (HYTAP_SLO_FAST_WINDOWS /
+    /// HYTAP_SLO_SLOW_WINDOWS, min 1 each, slow at least fast).
+    size_t fast_windows = 1;
+    size_t slow_windows = 8;
     /// Executed samples a class needs before the running-p99 tail criterion
     /// arms (HYTAP_PHASE_MIN_TAIL_SAMPLES). The SLO-breach criterion is
     /// always armed.
@@ -71,6 +97,7 @@ class LatencyProfiler {
 
   /// Per-class point-in-time aggregate for tests/CLIs.
   struct ClassSnapshot {
+    /// Phase fold, counted only while phase accounting is on.
     uint64_t observations = 0;  // all terminal tickets
     uint64_t executed = 0;      // completed an execution (ok or failed)
     uint64_t shed = 0;          // terminal without executing (shed or
@@ -86,6 +113,14 @@ class LatencyProfiler {
     uint64_t latency_p50_ns = 0;
     uint64_t latency_p99_ns = 0;
     uint64_t latency_p999_ns = 0;
+    /// SLO state, kept whether or not phase accounting is on.
+    uint64_t slo_observations = 0;  // judged tickets (all but cancellations)
+    uint64_t violations = 0;        // bad tickets (failed, shed, or slow)
+    double fast_burn = 0.0;
+    double slow_burn = 0.0;
+    bool breached = false;
+    uint64_t breaches = 0;  // breach transitions so far
+    uint64_t clears = 0;    // recovery transitions so far
   };
 
   explicit LatencyProfiler(Options options = Options::FromEnv());
@@ -93,8 +128,10 @@ class LatencyProfiler {
   /// Feeds one terminal ticket. Must be called in ticket order (the serving
   /// flush guarantees this); internally serialized. `executed` is false for
   /// tickets shed or cancelled while still queued — their phase vector is
-  /// all-zero and their latency 0. `window`/`sim_ns` stamp flight events.
-  /// No-op when `PhaseAccountingEnabled()` is off.
+  /// all-zero and their latency 0. `window` is the workload-monitor window
+  /// index at record time (windows_started()) and buckets SLO verdicts;
+  /// with `sim_ns` it stamps flight events. The phase fold is skipped when
+  /// `PhaseAccountingEnabled()` is off.
   void Observe(uint64_t ticket, QueryClass cls, StatusCode status,
                bool executed, uint64_t latency_ns, const PhaseVector& phases,
                const TraceSpan* trace, uint64_t window, uint64_t sim_ns);
@@ -109,15 +146,22 @@ class LatencyProfiler {
   /// Same content as a single JSON object.
   std::string ReportJson() const;
 
-  /// Pushes hytap_phase_* dominant/share gauges into the metrics registry.
-  /// Histograms and counters are updated inline by Observe().
+  /// Pushes the hytap_phase_* dominant/share gauges and the hytap_slo_*
+  /// burn-rate/breached gauges into the metrics registry. Histograms and
+  /// counters are updated inline by Observe().
   void ExportMetrics() const;
 
   const Options& options() const { return options_; }
 
+  /// Clears all aggregates, attributions, SLO windows and breach latches.
   void Reset();
 
  private:
+  struct WindowBucket {
+    uint64_t index = 0;
+    uint64_t good = 0;
+    uint64_t bad = 0;
+  };
   struct ClassState {
     uint64_t observations = 0;
     uint64_t executed = 0;
@@ -130,14 +174,27 @@ class LatencyProfiler {
     /// Executed-ticket latencies in fixed duration buckets; drives the
     /// running-p99 tail criterion and the report quantiles.
     MetricsSnapshot::HistogramData latencies;
+    std::deque<WindowBucket> windows;  // SLO verdicts, oldest first
+    uint64_t slo_observations = 0;
+    uint64_t violations = 0;
+    double fast_burn = 0.0;
+    double slow_burn = 0.0;
+    bool breached = false;
+    uint64_t breaches = 0;
+    uint64_t clears = 0;
   };
 
   uint64_t ObjectiveNs(QueryClass cls) const {
     return cls == QueryClass::kOltp ? options_.oltp_slo_ns
                                     : options_.olap_slo_ns;
   }
+  double BurnOver(const ClassState& state, size_t span) const;
+  /// Buckets one SLO verdict and fires breach/clear transitions.
+  void ObserveSloLocked(QueryClass cls, bool bad, uint64_t window,
+                        uint64_t sim_ns, uint64_t ticket);
 
   const Options options_;
+  const double budget_;  // error budget fraction, floored at 1e-9
 
   mutable std::mutex mutex_;
   ClassState classes_[kQueryClassCount];

@@ -1,18 +1,16 @@
 #include "serving/session_manager.h"
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "common/assert.h"
+#include "common/env.h"
 #include "common/flight_recorder.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "core/retier_daemon.h"
 #include "core/tiered_table.h"
 #include "serving/latency_profiler.h"
-#include "serving/slo_monitor.h"
 #include "tiering/buffer_manager.h"
 
 namespace hytap {
@@ -73,21 +71,6 @@ struct SessionMetrics {
   }
 };
 
-size_t EnvSize(const char* name, size_t fallback) {
-  if (const char* env = std::getenv(name)) {
-    const unsigned long long value = std::strtoull(env, nullptr, 10);
-    if (value >= 1) return size_t(value);
-  }
-  return fallback;
-}
-
-bool EnvFlag(const char* name, bool fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-           std::strcmp(env, "false") == 0 || std::strcmp(env, "OFF") == 0);
-}
-
 /// Deadline-less queries sort after every deadline.
 uint64_t EffectiveDeadline(const QuerySession& s) {
   return s.deadline_ns() == 0 ? UINT64_MAX : s.deadline_ns();
@@ -96,16 +79,21 @@ uint64_t EffectiveDeadline(const QuerySession& s) {
 }  // namespace
 
 SessionOptions SessionOptions::FromEnv() {
+  // Every size knob here must be >= 1; zero keeps the default.
+  auto size = [](const char* name, size_t fallback) {
+    const uint64_t value = EnvU64(name, fallback);
+    return value >= 1 ? size_t(value) : fallback;
+  };
   SessionOptions options;
-  options.max_sessions = EnvSize("HYTAP_MAX_SESSIONS", options.max_sessions);
+  options.max_sessions = size("HYTAP_MAX_SESSIONS", options.max_sessions);
   options.queue_capacity =
-      EnvSize("HYTAP_SESSION_QUEUE_CAP", options.queue_capacity);
-  options.default_threads = uint32_t(
-      EnvSize("HYTAP_SESSION_THREADS", options.default_threads));
+      size("HYTAP_SESSION_QUEUE_CAP", options.queue_capacity);
+  options.default_threads =
+      uint32_t(size("HYTAP_SESSION_THREADS", options.default_threads));
   options.session_frames =
-      EnvSize("HYTAP_SESSION_FRAMES", options.session_frames);
+      size("HYTAP_SESSION_FRAMES", options.session_frames);
   options.retier_on_idle =
-      EnvFlag("HYTAP_RETIER_ON_IDLE", options.retier_on_idle);
+      EnvBool("HYTAP_RETIER_ON_IDLE", options.retier_on_idle);
   return options;
 }
 
@@ -290,9 +278,7 @@ void SessionManager::WorkerLoop() {
       QueryResult result;
       result.status = Status::Cancelled("session cancelled while queued");
       metrics.cancelled->Add();
-      RecordInOrder(s->ticket_, false, false, s->query_, QueryObservation(),
-                    false, s->class_, StatusCode::kCancelled, PhaseVector(),
-                    0, nullptr);
+      RecordInOrder(*s, StatusCode::kCancelled, {});
       FinishSession(s, std::move(result), dispatch_index);
     } else if (s->deadline_ns_ != 0 && NowNs() > s->deadline_ns_) {
       // Late: shed instead of dispatched (EDF makes this the query that
@@ -301,9 +287,7 @@ void SessionManager::WorkerLoop() {
       result.status =
           Status::DeadlineExceeded("admission deadline passed before dispatch");
       metrics.shed_deadline->Add();
-      RecordInOrder(s->ticket_, false, false, s->query_, QueryObservation(),
-                    false, s->class_, StatusCode::kDeadlineExceeded,
-                    PhaseVector(), 0, nullptr);
+      RecordInOrder(*s, StatusCode::kDeadlineExceeded, {});
       FinishSession(s, std::move(result), dispatch_index);
     } else {
       // Dispatch events, like admit events, carry only ticket + class: the
@@ -326,11 +310,6 @@ void SessionManager::WorkerLoop() {
     // retier_ is re-checked under the submit mutex inside TryIdleTick.
     if (idle && options_.retier_on_idle) TryIdleTick();
   }
-}
-
-void SessionManager::set_slo_monitor(SloMonitor* slo) {
-  std::lock_guard<std::mutex> lock(record_mutex_);
-  slo_ = slo;
 }
 
 void SessionManager::set_latency_profiler(LatencyProfiler* profiler) {
@@ -393,19 +372,17 @@ void SessionManager::RunSession(const SessionHandle& s,
   SecondaryStore::ReadStream stream = table_->store().MakeStream(s->ticket_);
   private_cache.set_stream(&stream);
 
+  // The flush's view of this execution. Its phase vector stays all-zero
+  // (the executor skips it) when HYTAP_PHASE_ACCOUNTING is off.
+  RecordItem item;
   ExecOptions eopts;
   eopts.threads = s->threads_;
   eopts.stop = &s->stop_;
   eopts.buffers = &private_cache;
   eopts.delta_limit = s->delta_limit_;
-  QueryObservation obs;
-  bool obs_filled = false;
-  eopts.observation = &obs;
-  eopts.observation_filled = &obs_filled;
-  // Phase decomposition of this execution; all-zero (and skipped by the
-  // executor) when HYTAP_PHASE_ACCOUNTING is off.
-  PhaseVector phases;
-  eopts.phases = &phases;
+  eopts.observation = &item.obs;
+  eopts.observation_filled = &item.obs_filled;
+  eopts.phases = &item.phases;
 
   QueryResult result;
   {
@@ -424,13 +401,11 @@ void SessionManager::RunSession(const SessionHandle& s,
     metrics.completed->Add();
     metrics.LatencyFor(s->class_)->Observe(NowNs() - s->submit_ns_);
   }
-  // Executed sessions (even failed ones, matching the synchronous path)
-  // replay their observation in ticket order; cancelled executions record
-  // nothing — a serial replay without the cancel would observe different
-  // work, so the monitor only ever sees completed executions.
-  RecordInOrder(s->ticket_, !was_cancelled, /*executed=*/true, s->query_,
-                std::move(obs), obs_filled, s->class_, result.status.code(),
-                phases, result.io.TotalNs(), result.trace);
+  item.executed = true;
+  item.query = s->query_;
+  item.exec_sim_ns = result.io.TotalNs();
+  item.trace = result.trace;
+  RecordInOrder(*s, result.status.code(), std::move(item));
   FinishSession(s, std::move(result), dispatch_index);
 }
 
@@ -445,38 +420,24 @@ void SessionManager::FinishSession(const SessionHandle& s, QueryResult result,
   s->cv_.notify_all();
 }
 
-void SessionManager::RecordInOrder(uint64_t ticket, bool record, bool executed,
-                                   const Query& query, QueryObservation obs,
-                                   bool obs_filled, QueryClass cls,
-                                   StatusCode status,
-                                   const PhaseVector& phases,
-                                   uint64_t exec_sim_ns,
-                                   std::shared_ptr<const TraceSpan> trace) {
-  std::lock_guard<std::mutex> lock(record_mutex_);
-  RecordItem item;
-  item.record = record;
-  item.executed = executed;
-  if (record) {
-    item.query = query;
-    item.obs = std::move(obs);
-    item.obs_filled = obs_filled;
-  }
-  item.cls = cls;
+void SessionManager::RecordInOrder(const QuerySession& s, StatusCode status,
+                                   RecordItem item) {
+  item.cls = s.class_;
   item.status = status;
-  item.phases = phases;
-  item.exec_sim_ns = exec_sim_ns;
-  item.trace = std::move(trace);
-  record_buffer_.emplace(ticket, std::move(item));
+  std::lock_guard<std::mutex> lock(record_mutex_);
+  record_buffer_.emplace(s.ticket_, std::move(item));
   // Flush the contiguous prefix: observations reach the monitor, the plan
-  // cache, the flight recorder, the SLO monitor, and the latency profiler in
-  // ticket order, so their window series and aggregates are deterministic.
-  const bool phases_on = profiler_ != nullptr && PhaseAccountingEnabled();
-  const bool stamp =
-      FlightRecorderEnabled() || slo_ != nullptr || phases_on;
+  // cache, the flight recorder, and the latency profiler in ticket order,
+  // so their window series and aggregates are deterministic.
+  const bool stamp = FlightRecorderEnabled() || profiler_ != nullptr;
   auto it = record_buffer_.find(next_record_ticket_);
   while (it != record_buffer_.end()) {
     const RecordItem& flushed = it->second;
-    if (flushed.record) {
+    // Executed sessions (even failed ones, matching the synchronous path)
+    // replay their observation; cancelled executions record nothing — a
+    // serial replay without the cancel would observe different work, so
+    // the monitor only ever sees completed executions.
+    if (flushed.executed && flushed.status != StatusCode::kCancelled) {
       table_->RecordExecution(flushed.query, flushed.obs, flushed.obs_filled);
     }
     if (stamp) {
@@ -486,30 +447,20 @@ void SessionManager::RecordInOrder(uint64_t ticket, bool record, bool executed,
       const uint64_t window = table_->monitor().windows_started();
       const uint64_t sim_ns = table_->monitor().now_ns();
       FlightEventType type = FlightEventType::kSessionComplete;
-      // Event operand b by type: completes carry the end-to-end simulated
-      // latency, cancels the simulated ns accrued before the abort, sheds
-      // their simulated queue wait — identically 0, queueing is
-      // instantaneous on the simulated clock (never a latency).
-      uint64_t b = flushed.exec_sim_ns;
       if (flushed.status == StatusCode::kCancelled) {
         type = FlightEventType::kSessionCancel;
-      } else if (!flushed.record) {
+      } else if (!flushed.executed) {
         type = FlightEventType::kSessionShed;
-        b = 0;
       }
+      // Event operand b: completes carry the end-to-end simulated latency,
+      // cancels the simulated ns accrued before the abort, sheds their
+      // simulated queue wait — identically 0, queueing is instantaneous on
+      // the simulated clock (never a latency).
       FlightRecorder::Global().Record(type, uint16_t(flushed.status),
                                       it->first, window, sim_ns,
-                                      uint64_t(flushed.cls), b);
-      // Cancellation is caller-initiated, not a service failure: it does
-      // not burn SLO budget. Sheds and failed executions do.
-      if (slo_ != nullptr && flushed.status != StatusCode::kCancelled) {
-        const uint64_t latency =
-            flushed.obs_filled ? flushed.obs.simulated_ns : 0;
-        slo_->Observe(flushed.cls, latency,
-                      flushed.status != StatusCode::kOk, window, sim_ns,
-                      it->first);
-      }
-      if (phases_on) {
+                                      uint64_t(flushed.cls),
+                                      flushed.exec_sim_ns);
+      if (profiler_ != nullptr) {
         profiler_->Observe(it->first, flushed.cls, flushed.status,
                            flushed.executed, flushed.exec_sim_ns,
                            flushed.phases, flushed.trace.get(), window,

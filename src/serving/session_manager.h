@@ -21,7 +21,6 @@
 namespace hytap {
 
 class TieredTable;
-class SloMonitor;
 class RetierDaemon;
 class LatencyProfiler;
 
@@ -177,13 +176,11 @@ class SessionManager {
   /// Steady-clock nanoseconds — the domain of SubmitOptions::deadline_ns.
   static uint64_t NowNs();
 
-  /// Attaches an SLO monitor (not owned; null detaches). It is fed one
+  /// Attaches a latency profiler (not owned; null detaches). It is fed one
   /// terminal outcome per ticket from the reorder-buffer flush, in ticket
-  /// order, so burn-rate state is deterministic across worker counts.
-  void set_slo_monitor(SloMonitor* slo);
-  /// Attaches a latency profiler (not owned; null detaches). Like the SLO
-  /// monitor it is fed from the flush in ticket order, carrying each
-  /// ticket's phase vector and trace tree (when tracing is on).
+  /// order — simulated latency, phase vector, and trace tree (when tracing
+  /// is on) — so its SLO state and phase reports are deterministic across
+  /// worker counts.
   void set_latency_profiler(LatencyProfiler* profiler);
   /// Attaches a re-tiering daemon (not owned; null detaches) ticked from
   /// workers' idle periods when options().retier_on_idle is set.
@@ -219,19 +216,32 @@ class SessionManager {
   /// Moves `s` to its terminal state and wakes Await()ers.
   void FinishSession(const SessionHandle& s, QueryResult result,
                      uint64_t dispatch_index);
-  /// Buffers one terminal ticket and flushes the reorder buffer: contiguous
-  /// tickets record into the table (monitor + plan cache), emit terminal
-  /// flight events, and feed the SLO monitor in ticket order. `record` is
-  /// false for sessions that never executed (shed / cancelled while queued);
-  /// `status` is the session's terminal status code.
-  /// `executed` is true when the ticket reached the executor (even if the
-  /// execution was then cancelled or failed); `record` additionally requires
-  /// a non-cancelled outcome.
-  void RecordInOrder(uint64_t ticket, bool record, bool executed,
-                     const Query& query, QueryObservation obs, bool obs_filled,
-                     QueryClass cls, StatusCode status,
-                     const PhaseVector& phases, uint64_t exec_sim_ns,
-                     std::shared_ptr<const TraceSpan> trace);
+  /// Ticket-order observation replay.
+  struct RecordItem {
+    QueryClass cls = QueryClass::kOlap;
+    StatusCode status = StatusCode::kOk;
+    /// True when the ticket reached the executor (even if the execution was
+    /// then cancelled or failed). Executions that were not cancelled replay
+    /// into the table; cancelled ones still carry their partial accrual.
+    bool executed = false;
+    Query query;
+    QueryObservation obs;
+    bool obs_filled = false;
+    /// Phase decomposition of the execution (all-zero when it never ran or
+    /// phase accounting is off) and the execution's total simulated ns —
+    /// the one latency every consumer reads; phases.Sum() == exec_sim_ns is
+    /// the profiler's core invariant.
+    PhaseVector phases;
+    uint64_t exec_sim_ns = 0;
+    /// Trace tree for tail critical-path walks (null unless tracing is on).
+    std::shared_ptr<const TraceSpan> trace;
+  };
+  /// Buffers `s`'s terminal outcome — `status`, plus the execution in
+  /// `item` when it ran — and flushes the reorder buffer: contiguous tickets
+  /// record into the table (monitor + plan cache), emit terminal flight
+  /// events, and feed the latency profiler in ticket order.
+  void RecordInOrder(const QuerySession& s, StatusCode status,
+                     RecordItem item);
   /// Runs one re-tier tick if the table has been idle-eligible: takes the
   /// submit mutex and the write gate itself (no queries queued or running),
   /// at most once per workload-monitor window.
@@ -256,31 +266,10 @@ class SessionManager {
   /// Readers (query executions) hold it shared; ExecuteWrite exclusively.
   std::shared_mutex rw_gate_;
 
-  /// Ticket-order observation replay.
-  struct RecordItem {
-    bool record = false;
-    Query query;
-    QueryObservation obs;
-    bool obs_filled = false;
-    QueryClass cls = QueryClass::kOlap;
-    StatusCode status = StatusCode::kOk;
-    /// True when the ticket reached the executor (record is false for
-    /// cancelled executions, which still carry their partial accrual here).
-    bool executed = false;
-    /// Phase decomposition of the execution (all-zero when it never ran or
-    /// phase accounting is off) and the execution's total simulated ns —
-    /// phases.Sum() == exec_sim_ns is the profiler's core invariant.
-    PhaseVector phases;
-    uint64_t exec_sim_ns = 0;
-    /// Trace tree for tail critical-path walks (null unless tracing is on).
-    std::shared_ptr<const TraceSpan> trace;
-  };
   std::mutex record_mutex_;
   std::map<uint64_t, RecordItem> record_buffer_;
   uint64_t next_record_ticket_ = 0;
 
-  /// Fed from the flush under record_mutex_ (null = detached).
-  SloMonitor* slo_ = nullptr;
   /// Fed from the flush under record_mutex_ (null = detached).
   LatencyProfiler* profiler_ = nullptr;
   /// Ticked from idle workers when options_.retier_on_idle (null = off).

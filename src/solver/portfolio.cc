@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
 
 #include "common/assert.h"
+#include "common/env.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "solver/branch_and_bound.h"
@@ -264,12 +264,9 @@ std::unique_ptr<PlacementSolver> MakeGreedySolver(const KnapsackView* view) {
 
 PortfolioOptions PortfolioOptions::FromEnv() {
   PortfolioOptions options;
-  if (const char* env = std::getenv("HYTAP_SOLVER_BUDGET_MS")) {
-    options.budget_ms = std::strtod(env, nullptr);
-  }
-  if (const char* env = std::getenv("HYTAP_SOLVER_THREADS")) {
-    options.workers = uint32_t(std::strtoul(env, nullptr, 10));
-  }
+  options.budget_ms = EnvDouble("HYTAP_SOLVER_BUDGET_MS", options.budget_ms);
+  options.workers =
+      uint32_t(EnvU64("HYTAP_SOLVER_THREADS", options.workers));
   return options;
 }
 

@@ -1,22 +1,15 @@
 #include "storage/zone_map.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
+
+#include "common/env.h"
 
 namespace hytap {
 
 namespace {
 
-bool InitFromEnv() {
-  const char* env = std::getenv("HYTAP_ZONE_MAPS");
-  if (env == nullptr) return true;
-  return std::strcmp(env, "off") != 0 && std::strcmp(env, "0") != 0 &&
-         std::strcmp(env, "false") != 0;
-}
-
 std::atomic<bool>& Flag() {
-  static std::atomic<bool> enabled{InitFromEnv()};
+  static std::atomic<bool> enabled{EnvBool("HYTAP_ZONE_MAPS", true)};
   return enabled;
 }
 

@@ -1,21 +1,11 @@
 #include "tiering/fault_injector.h"
 
-#include <cstdlib>
+#include <algorithm>
 #include <cstring>
 
+#include "common/env.h"
+
 namespace hytap {
-
-namespace {
-
-double EnvRate(const char* name) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return 0.0;
-  const double rate = std::atof(value);
-  if (rate < 0.0) return 0.0;
-  return rate > 1.0 ? 1.0 : rate;
-}
-
-}  // namespace
 
 bool FaultConfig::AnyFaults() const {
   return read_error_rate > 0.0 || page_failure_rate > 0.0 ||
@@ -25,14 +15,15 @@ bool FaultConfig::AnyFaults() const {
 
 FaultConfig FaultConfig::FromEnv() {
   FaultConfig config;
-  if (const char* seed = std::getenv("HYTAP_FAULT_SEED")) {
-    config.seed = std::strtoull(seed, nullptr, 10);
-  }
-  config.read_error_rate = EnvRate("HYTAP_FAULT_READ_ERROR_RATE");
-  config.page_failure_rate = EnvRate("HYTAP_FAULT_PAGE_FAILURE_RATE");
-  config.read_corruption_rate = EnvRate("HYTAP_FAULT_READ_CORRUPTION_RATE");
-  config.write_corruption_rate = EnvRate("HYTAP_FAULT_WRITE_CORRUPTION_RATE");
-  config.latency_spike_rate = EnvRate("HYTAP_FAULT_LATENCY_SPIKE_RATE");
+  config.seed = EnvU64("HYTAP_FAULT_SEED", config.seed);
+  auto rate = [](const char* name) {
+    return std::clamp(EnvDouble(name, 0.0), 0.0, 1.0);
+  };
+  config.read_error_rate = rate("HYTAP_FAULT_READ_ERROR_RATE");
+  config.page_failure_rate = rate("HYTAP_FAULT_PAGE_FAILURE_RATE");
+  config.read_corruption_rate = rate("HYTAP_FAULT_READ_CORRUPTION_RATE");
+  config.write_corruption_rate = rate("HYTAP_FAULT_WRITE_CORRUPTION_RATE");
+  config.latency_spike_rate = rate("HYTAP_FAULT_LATENCY_SPIKE_RATE");
   return config;
 }
 

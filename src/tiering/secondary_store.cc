@@ -1,11 +1,11 @@
 #include "tiering/secondary_store.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "common/assert.h"
 #include "common/crc32.h"
+#include "common/env.h"
 #include "common/flight_recorder.h"
 #include "common/metrics.h"
 
@@ -72,11 +72,8 @@ struct StoreMetrics {
 }  // namespace
 
 uint32_t SecondaryStore::DefaultMaxReadRetries() {
-  if (const char* env = std::getenv("HYTAP_MAX_READ_RETRIES")) {
-    const long value = std::strtol(env, nullptr, 10);
-    if (value >= 0 && value <= 64) return uint32_t(value);
-  }
-  return 4;
+  const uint64_t value = EnvU64("HYTAP_MAX_READ_RETRIES", 4);
+  return value <= 64 ? uint32_t(value) : 4;
 }
 
 SecondaryStore::SecondaryStore(DeviceKind device, uint64_t timing_seed,

@@ -1,10 +1,9 @@
 #include "workload/workload_monitor.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/assert.h"
+#include "common/env.h"
 #include "common/metrics.h"
 #include "storage/table.h"
 
@@ -12,18 +11,7 @@ namespace hytap {
 
 namespace workload_monitor_internal {
 
-namespace {
-
-bool EnabledFromEnv() {
-  const char* env = std::getenv("HYTAP_WORKLOAD_MONITOR");
-  if (env == nullptr) return true;
-  return std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0 &&
-         std::strcmp(env, "false") != 0;
-}
-
-}  // namespace
-
-std::atomic<bool> g_enabled{EnabledFromEnv()};
+std::atomic<bool> g_enabled{EnvBool("HYTAP_WORKLOAD_MONITOR", true)};
 
 }  // namespace workload_monitor_internal
 
@@ -170,14 +158,10 @@ Workload WindowsToWorkload(const WorkloadWindowSeries& series,
 
 WorkloadMonitor::Options WorkloadMonitor::Options::FromEnv() {
   Options options;
-  if (const char* env = std::getenv("HYTAP_WORKLOAD_WINDOWS")) {
-    const uint64_t value = std::strtoull(env, nullptr, 10);
-    if (value >= 2) options.windows = size_t(value);
-  }
-  if (const char* env = std::getenv("HYTAP_WINDOW_NS")) {
-    const uint64_t value = std::strtoull(env, nullptr, 10);
-    if (value >= 1) options.window_ns = value;
-  }
+  const uint64_t windows = EnvU64("HYTAP_WORKLOAD_WINDOWS", options.windows);
+  if (windows >= 2) options.windows = size_t(windows);
+  const uint64_t window_ns = EnvU64("HYTAP_WINDOW_NS", options.window_ns);
+  if (window_ns >= 1) options.window_ns = window_ns;
   return options;
 }
 

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <utility>
 #include <memory>
@@ -110,6 +111,41 @@ TEST(FlightRecorderTest, DumpRoundTripPreservesEventsAndReason) {
   ASSERT_EQ(decoded.size(), expected.size());
   EXPECT_EQ(0, std::memcmp(decoded.data(), expected.data(),
                            decoded.size() * sizeof(FlightEvent)));
+  std::remove(path.c_str());
+}
+
+TEST(FlightRecorderTest, ReadRejectsTruncatedDump) {
+  SetFlightRecorderEnabled(true);
+  FlightRecorder recorder(64);
+  for (uint64_t i = 0; i < 4; ++i) recorder.Record(MakeEvent(1, i, i));
+  const std::string path = ::testing::TempDir() + "flight_truncated.bin";
+  ASSERT_TRUE(recorder.DumpTo(path, "unit_truncated"));
+  std::vector<FlightEvent> decoded;
+  ASSERT_TRUE(ReadFlightDump(path, &decoded, nullptr));
+  ASSERT_EQ(decoded.size(), 4u);
+  // The last event loses its final byte.
+  std::filesystem::resize_file(
+      path, sizeof(FlightDumpHeader) + 4 * sizeof(FlightEvent) - 1);
+  EXPECT_FALSE(ReadFlightDump(path, &decoded, nullptr));
+  std::remove(path.c_str());
+}
+
+TEST(FlightRecorderTest, ReadRejectsOversizedEventCount) {
+  // A header-only dump claiming 2^60 events must fail cleanly, not try to
+  // allocate them.
+  FlightDumpHeader header{};
+  std::memcpy(header.magic, "HYFR", 4);
+  header.version = 1;
+  header.event_size = sizeof(FlightEvent);
+  header.event_count = uint64_t(1) << 60;
+  const std::string path = ::testing::TempDir() + "flight_oversized.bin";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(&header), sizeof(header));
+  }
+  ASSERT_EQ(std::filesystem::file_size(path), 88u);
+  std::vector<FlightEvent> decoded;
+  EXPECT_FALSE(ReadFlightDump(path, &decoded, nullptr));
   std::remove(path.c_str());
 }
 

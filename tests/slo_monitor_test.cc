@@ -1,4 +1,6 @@
-#include "serving/slo_monitor.h"
+// SLO burn rates of the latency profiler: the per-class objective check fed
+// from the serving flush, with or without phase accounting.
+#include "serving/latency_profiler.h"
 
 #include <gtest/gtest.h>
 
@@ -11,19 +13,22 @@
 
 #include "common/flight_recorder.h"
 #include "common/metrics.h"
+#include "common/phases.h"
 #include "common/random.h"
+#include "common/trace.h"
 #include "core/tiered_table.h"
 #include "serving/session_manager.h"
 #include "workload/enterprise.h"
+#include "workload/workload_monitor.h"
 
 namespace hytap {
 namespace {
 
 /// Tight objectives and a 10% error budget: one all-bad window burns 10x.
-SloMonitor::Options TightOptions() {
-  SloMonitor::Options options;
-  options.oltp_ns = 1000;
-  options.olap_ns = 1000;
+LatencyProfiler::Options TightOptions() {
+  LatencyProfiler::Options options;
+  options.oltp_slo_ns = 1000;
+  options.olap_slo_ns = 1000;
   options.target_ppm = 900'000;  // 10% of observations may violate
   options.burn_threshold = 1.0;
   options.fast_windows = 1;
@@ -31,31 +36,43 @@ SloMonitor::Options TightOptions() {
   return options;
 }
 
+/// Feeds one executed ticket whose whole simulated latency is scan/probe
+/// time, so the phase vector sums to it as the executor's would.
+void Feed(LatencyProfiler* profiler, QueryClass cls, uint64_t latency_ns,
+          bool failed, uint64_t window, uint64_t sim_ns, uint64_t ticket) {
+  PhaseVector phases;
+  phases[QueryPhase::kScanProbe] = latency_ns;
+  profiler->Observe(ticket, cls,
+                    failed ? StatusCode::kUnavailable : StatusCode::kOk,
+                    /*executed=*/true, latency_ns, phases, /*trace=*/nullptr,
+                    window, sim_ns);
+}
+
 TEST(SloMonitorTest, BurnRateBreachesAndClears) {
   setenv("HYTAP_FLIGHT_DUMP", "0", 1);
-  SloMonitor slo(TightOptions());
+  LatencyProfiler slo(TightOptions());
 
   // Window 1: every observation violates — fast and slow burn are both 10x
   // the budget, so the class breaches exactly once.
   for (uint64_t i = 0; i < 10; ++i) {
-    slo.Observe(QueryClass::kOltp, /*sim_latency_ns=*/5000, /*failed=*/false,
-                /*window=*/1, /*sim_ns=*/1000 + i, /*ticket=*/i);
+    Feed(&slo, QueryClass::kOltp, /*latency_ns=*/5000, /*failed=*/false,
+         /*window=*/1, /*sim_ns=*/1000 + i, /*ticket=*/i);
   }
-  SloMonitor::ClassSnapshot snap = slo.Snapshot(QueryClass::kOltp);
-  EXPECT_EQ(snap.observations, 10u);
+  LatencyProfiler::ClassSnapshot snap = slo.Snapshot(QueryClass::kOltp);
+  EXPECT_EQ(snap.slo_observations, 10u);
   EXPECT_EQ(snap.violations, 10u);
   EXPECT_GT(snap.fast_burn, 1.0);
   EXPECT_TRUE(snap.breached);
   EXPECT_EQ(snap.breaches, 1u);
   EXPECT_EQ(snap.clears, 0u);
   // The other class is untouched.
-  EXPECT_EQ(slo.Snapshot(QueryClass::kOlap).observations, 0u);
+  EXPECT_EQ(slo.Snapshot(QueryClass::kOlap).slo_observations, 0u);
   EXPECT_FALSE(slo.Snapshot(QueryClass::kOlap).breached);
 
   // Window 2: a flood of good observations drains the fast window — breach
   // requires BOTH windows hot, so the class clears.
   for (uint64_t i = 0; i < 100; ++i) {
-    slo.Observe(QueryClass::kOltp, 10, false, 2, 2000 + i, 100 + i);
+    Feed(&slo, QueryClass::kOltp, 10, false, 2, 2000 + i, 100 + i);
   }
   snap = slo.Snapshot(QueryClass::kOltp);
   EXPECT_FALSE(snap.breached);
@@ -65,19 +82,19 @@ TEST(SloMonitorTest, BurnRateBreachesAndClears) {
 }
 
 TEST(SloMonitorTest, FailuresAndSlowQueriesBothBurnBudget) {
-  SloMonitor::Options options = TightOptions();
+  LatencyProfiler::Options options = TightOptions();
   options.burn_threshold = 1e9;  // never breach: this test is about counting
-  SloMonitor slo(options);
+  LatencyProfiler slo(options);
 
   // A failed query burns budget even when it was fast.
-  slo.Observe(QueryClass::kOlap, 10, /*failed=*/true, 1, 1, 0);
+  Feed(&slo, QueryClass::kOlap, 10, /*failed=*/true, 1, 1, 0);
   // A slow success burns budget too.
-  slo.Observe(QueryClass::kOlap, 5000, /*failed=*/false, 1, 2, 1);
+  Feed(&slo, QueryClass::kOlap, 5000, /*failed=*/false, 1, 2, 1);
   // A fast success does not.
-  slo.Observe(QueryClass::kOlap, 10, /*failed=*/false, 1, 3, 2);
+  Feed(&slo, QueryClass::kOlap, 10, /*failed=*/false, 1, 3, 2);
 
-  const SloMonitor::ClassSnapshot snap = slo.Snapshot(QueryClass::kOlap);
-  EXPECT_EQ(snap.observations, 3u);
+  const LatencyProfiler::ClassSnapshot snap = slo.Snapshot(QueryClass::kOlap);
+  EXPECT_EQ(snap.slo_observations, 3u);
   EXPECT_EQ(snap.violations, 2u);
   EXPECT_FALSE(snap.breached);
 }
@@ -90,11 +107,11 @@ TEST(SloMonitorTest, BreachWritesAnomalyDump) {
   FlightRecorder::Global().Reset();
   SetFlightRecorderEnabled(true);
 
-  SloMonitor slo(TightOptions());
+  LatencyProfiler slo(TightOptions());
   for (uint64_t i = 0; i < 10; ++i) {
-    slo.Observe(QueryClass::kOltp, 5000, false, 1, 1000 + i, i);
+    Feed(&slo, QueryClass::kOltp, 5000, false, 1, 1000 + i, i);
   }
-  EXPECT_TRUE(slo.breached(QueryClass::kOltp));
+  EXPECT_TRUE(slo.Snapshot(QueryClass::kOltp).breached);
   unsetenv("HYTAP_FLIGHT_DUMP_DIR");
   setenv("HYTAP_FLIGHT_DUMP", "0", 1);
 
@@ -125,11 +142,11 @@ TEST(SloMonitorTest, BreachWritesAnomalyDump) {
 
 TEST(SloMonitorTest, ExportGaugesPopulatesRegistry) {
   SetMetricsEnabled(true);
-  SloMonitor slo(TightOptions());
+  LatencyProfiler slo(TightOptions());
   for (uint64_t i = 0; i < 10; ++i) {
-    slo.Observe(QueryClass::kOltp, 5000, false, 1, 1000 + i, i);
+    Feed(&slo, QueryClass::kOltp, 5000, false, 1, 1000 + i, i);
   }
-  slo.ExportGauges();
+  slo.ExportMetrics();
   const std::string text =
       MetricsRegistry::Global().Snapshot().ToPrometheusText();
   for (const char* family :
@@ -188,7 +205,15 @@ struct SloSignature {
   }
 };
 
-SloSignature RunServing(uint32_t workers) {
+/// One serving run with a single profiler attached.
+struct ServingRun {
+  SloSignature slo;
+  std::string report_text;
+  std::string report_json;
+  LatencyProfiler::ClassSnapshot oltp;
+};
+
+ServingRun RunServing(uint32_t workers) {
   setenv("HYTAP_FLIGHT_DUMP", "0", 1);
   auto table = MakeSmallBseg();
   SessionOptions so;
@@ -198,12 +223,12 @@ SloSignature RunServing(uint32_t workers) {
 
   // An impossible OLTP objective: every OLTP session violates, OLAP never
   // does — the per-class split must survive any dispatch interleaving.
-  SloMonitor::Options options;
-  options.oltp_ns = 1;
-  options.olap_ns = uint64_t(1) << 62;
+  LatencyProfiler::Options options;
+  options.oltp_slo_ns = 1;
+  options.olap_slo_ns = uint64_t(1) << 62;
   options.target_ppm = 999'000;
-  SloMonitor slo(options);
-  sm.set_slo_monitor(&slo);
+  LatencyProfiler slo(options);
+  sm.set_latency_profiler(&slo);
 
   Rng rng(kSeed * 7919 + 1);
   std::vector<SessionHandle> handles;
@@ -221,25 +246,28 @@ SloSignature RunServing(uint32_t workers) {
   }
   for (const SessionHandle& session : handles) (void)session->Await();
   sm.Drain();
-  sm.set_slo_monitor(nullptr);
+  sm.set_latency_profiler(nullptr);
 
-  SloSignature signature;
+  ServingRun run;
   for (size_t c = 0; c < kQueryClassCount; ++c) {
-    const SloMonitor::ClassSnapshot snap = slo.Snapshot(QueryClass(c));
-    signature.observations[c] = snap.observations;
-    signature.violations[c] = snap.violations;
-    signature.breaches[c] = snap.breaches;
-    signature.fast_burn[c] = snap.fast_burn;
-    signature.slow_burn[c] = snap.slow_burn;
-    signature.breached[c] = snap.breached;
+    const LatencyProfiler::ClassSnapshot snap = slo.Snapshot(QueryClass(c));
+    run.slo.observations[c] = snap.slo_observations;
+    run.slo.violations[c] = snap.violations;
+    run.slo.breaches[c] = snap.breaches;
+    run.slo.fast_burn[c] = snap.fast_burn;
+    run.slo.slow_burn[c] = snap.slow_burn;
+    run.slo.breached[c] = snap.breached;
   }
-  return signature;
+  run.report_text = slo.ReportText();
+  run.report_json = slo.ReportJson();
+  run.oltp = slo.Snapshot(QueryClass::kOltp);
+  return run;
 }
 
 TEST(SloMonitorTest, ServingFeedIsDeterministicAcrossWorkers) {
-  const SloSignature one = RunServing(1);
-  const SloSignature two = RunServing(2);
-  const SloSignature four = RunServing(4);
+  const SloSignature one = RunServing(1).slo;
+  const SloSignature two = RunServing(2).slo;
+  const SloSignature four = RunServing(4).slo;
   EXPECT_TRUE(one == two);
   EXPECT_TRUE(one == four);
   EXPECT_EQ(one.observations[size_t(QueryClass::kOltp)], kQueries / 2);
@@ -247,6 +275,78 @@ TEST(SloMonitorTest, ServingFeedIsDeterministicAcrossWorkers) {
   EXPECT_TRUE(one.breached[size_t(QueryClass::kOltp)]);
   EXPECT_EQ(one.violations[size_t(QueryClass::kOlap)], 0u);
   EXPECT_FALSE(one.breached[size_t(QueryClass::kOlap)]);
+}
+
+/// One attach feeds both folds from the same flush: the SLO state and the
+/// phase report (critical paths included, tracing on) are byte-identical
+/// at 1/2/4 workers.
+TEST(SloMonitorTest, OneAttachGivesSloAndPhaseReportsAcrossWorkers) {
+  const bool trace_was_enabled = TraceEnabled();
+  SetTraceEnabled(true);
+  const ServingRun one = RunServing(1);
+  const ServingRun two = RunServing(2);
+  const ServingRun four = RunServing(4);
+  SetTraceEnabled(trace_was_enabled);
+  EXPECT_TRUE(one.slo == two.slo);
+  EXPECT_TRUE(one.slo == four.slo);
+  EXPECT_EQ(one.report_text, two.report_text);
+  EXPECT_EQ(one.report_text, four.report_text);
+  EXPECT_EQ(one.report_json, two.report_json);
+  EXPECT_EQ(one.report_json, four.report_json);
+  // Both folds saw every OLTP ticket; under the 1 ns objective each one is
+  // an SLO violation and a breach-attributed tail ticket.
+  EXPECT_EQ(one.oltp.slo_observations, kQueries / 2);
+  EXPECT_EQ(one.oltp.violations, kQueries / 2);
+  EXPECT_EQ(one.oltp.observations, kQueries / 2);
+  EXPECT_EQ(one.oltp.tail, kQueries / 2);
+  EXPECT_NE(one.report_text.find("critical path:"), std::string::npos);
+}
+
+/// The SLO fold runs whatever the phase knob says: with phase accounting off
+/// (the executor then leaves phase vectors all-zero) a breach still fires
+/// its flight event, while the phase fold records nothing.
+TEST(SloMonitorTest, BreachFiresWithPhaseAccountingOff) {
+  setenv("HYTAP_FLIGHT_DUMP", "0", 1);
+  FlightRecorder::Global().Reset();
+  SetFlightRecorderEnabled(true);
+  SetPhaseAccountingEnabled(false);
+  LatencyProfiler slo(TightOptions());
+  for (uint64_t i = 0; i < 10; ++i) {
+    slo.Observe(/*ticket=*/i, QueryClass::kOltp, StatusCode::kOk,
+                /*executed=*/true, /*latency_ns=*/5000, PhaseVector(),
+                /*trace=*/nullptr, /*window=*/1, /*sim_ns=*/1000 + i);
+  }
+  SetPhaseAccountingEnabled(true);
+
+  const LatencyProfiler::ClassSnapshot snap = slo.Snapshot(QueryClass::kOltp);
+  EXPECT_TRUE(snap.breached);
+  EXPECT_EQ(snap.breaches, 1u);
+  EXPECT_EQ(snap.slo_observations, 10u);
+  EXPECT_EQ(snap.violations, 10u);
+  EXPECT_EQ(snap.observations, 0u);
+  EXPECT_TRUE(slo.Attributions().empty());
+  bool saw_breach = false;
+  for (const FlightEvent& event : FlightRecorder::Global().Snapshot()) {
+    if (event.type == static_cast<uint16_t>(FlightEventType::kSloBreach)) {
+      saw_breach = true;
+    }
+    EXPECT_NE(event.type,
+              static_cast<uint16_t>(FlightEventType::kPhaseAttribution));
+  }
+  EXPECT_TRUE(saw_breach);
+}
+
+/// Verdicts read the execution's own simulated latency, not the workload
+/// monitor's observation of it: with the monitor off, the impossible OLTP
+/// objective still flags every OLTP ticket and breaches.
+TEST(SloMonitorTest, WorkloadMonitorOffStillJudgesLatency) {
+  SetWorkloadMonitorEnabled(false);
+  const ServingRun run = RunServing(2);
+  SetWorkloadMonitorEnabled(true);
+  const size_t oltp = size_t(QueryClass::kOltp);
+  EXPECT_EQ(run.slo.observations[oltp], kQueries / 2);
+  EXPECT_EQ(run.slo.violations[oltp], kQueries / 2);
+  EXPECT_TRUE(run.slo.breached[oltp]);
 }
 
 }  // namespace

@@ -22,8 +22,8 @@
 #   - with --require-sessions, the hytap_session_* families of the serving
 #     front end are present (snapshots from `stats_cli --sessions` or
 #     `bench_serving`);
-#   - with --require-slo, the hytap_slo_* families of the SLO burn-rate
-#     monitor plus the hytap_flight_* recorder counters are present
+#   - with --require-slo, the hytap_slo_* burn-rate families of the latency
+#     profiler plus the hytap_flight_* recorder counters are present
 #     (snapshots from `stats_cli --slo`);
 #   - with --require-phases, the hytap_phase_* families of the latency
 #     profiler (per-class phase histograms with interpolated quantile
@@ -176,9 +176,9 @@ if [ "$require_sessions" -eq 1 ]; then
   done
 fi
 
-# 8. Opt-in: SLO burn-rate monitor families plus the flight-recorder
-# counters (emitted once an SloMonitor observed sessions and exported its
-# gauges, e.g. `stats_cli --slo`).
+# 8. Opt-in: SLO burn-rate families plus the flight-recorder counters
+# (emitted once a LatencyProfiler observed sessions and exported its gauges,
+# e.g. `stats_cli --slo`).
 if [ "$require_slo" -eq 1 ]; then
   for family in \
     hytap_slo_observations_total \

@@ -20,13 +20,14 @@
 // the high-concurrency serving front end (EnableServing; worker count and
 // queue bound honor HYTAP_MAX_SESSIONS / HYTAP_SESSION_*) instead of the
 // synchronous path, so the hytap_session_* family lands in the snapshot.
-// With --slo (implies --sessions), an SLO burn-rate monitor (objectives from
-// HYTAP_SLO_*) observes every completed session, so the hytap_slo_* family
-// lands in the snapshot too. With --phases (implies --sessions), a latency
-// profiler attaches to the serving front end and accounts every ticket's
-// simulated latency into lifecycle phases (DESIGN.md §17): the deterministic
-// per-class phase report (text or JSON per --format) is printed to stderr —
-// or to --phases-out — and the hytap_phase_* family lands in the snapshot.
+// With --slo or --phases (either implies --sessions), a latency profiler
+// (DESIGN.md §17) attaches to the serving front end: it judges every
+// terminal session against the per-class SLO objectives (HYTAP_SLO_*) and
+// accounts every ticket's simulated latency into lifecycle phases, so the
+// hytap_slo_* and hytap_phase_* families land in the snapshot. --slo prints
+// the per-class burn rates to stderr; --phases prints the deterministic
+// per-class phase report (text or JSON per --format) to stderr — or to
+// --phases-out.
 
 #include <cstdint>
 #include <cstdio>
@@ -41,7 +42,6 @@
 #include "core/tiered_table.h"
 #include "serving/latency_profiler.h"
 #include "serving/session_manager.h"
-#include "serving/slo_monitor.h"
 #include "workload/enterprise.h"
 
 using namespace hytap;
@@ -228,10 +228,8 @@ int main(int argc, char** argv) {
     // Serving path: admission-controlled concurrent sessions; alternate the
     // priority class so both per-class latency histograms populate.
     SessionManager& sm = table.EnableServing();
-    SloMonitor slo(SloMonitor::Options::FromEnv());
-    if (options.slo) sm.set_slo_monitor(&slo);
     LatencyProfiler profiler(LatencyProfiler::Options::FromEnv());
-    if (options.phases) sm.set_latency_profiler(&profiler);
+    if (options.slo || options.phases) sm.set_latency_profiler(&profiler);
     std::vector<SessionHandle> handles;
     handles.reserve(queries.size());
     for (size_t q = 0; q < queries.size(); ++q) {
@@ -257,23 +255,22 @@ int main(int argc, char** argv) {
                  "%zu queued, %zu in flight after drain\n",
                  (size_t)sm.tickets_issued(), sm.options().max_sessions,
                  sm.options().queue_capacity, sm.queued(), sm.in_flight());
+    sm.set_latency_profiler(nullptr);
+    if (options.slo || options.phases) profiler.ExportMetrics();
     if (options.slo) {
-      slo.ExportGauges();
       for (size_t cls = 0; cls < kQueryClassCount; ++cls) {
-        const SloMonitor::ClassSnapshot snap =
-            slo.Snapshot(QueryClass(cls));
+        const LatencyProfiler::ClassSnapshot snap =
+            profiler.Snapshot(QueryClass(cls));
         std::fprintf(stderr,
                      "slo[%s]: %llu observed, %llu violations, "
                      "burn fast=%.3f slow=%.3f%s\n",
                      cls == 0 ? "oltp" : "olap",
-                     (unsigned long long)snap.observations,
+                     (unsigned long long)snap.slo_observations,
                      (unsigned long long)snap.violations, snap.fast_burn,
                      snap.slow_burn, snap.breached ? " BREACHED" : "");
       }
-      sm.set_slo_monitor(nullptr);
     }
     if (options.phases) {
-      profiler.ExportMetrics();
       const std::string phase_report = options.format == "json"
                                            ? profiler.ReportJson()
                                            : profiler.ReportText();
@@ -291,7 +288,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "phase report written to %s\n",
                      options.phases_out.c_str());
       }
-      sm.set_latency_profiler(nullptr);
     }
   } else {
     for (size_t q = 0; q < queries.size(); ++q) {
