@@ -32,6 +32,36 @@ std::string TraceFormatDouble(double value) {
   return buffer;
 }
 
+std::string JsonEscape(const std::string& in) {
+  std::string out;
+  out.reserve(in.size());
+  for (char c : in) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
+          out += buffer;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 namespace {
 
 void RenderTextNode(const TraceSpan& span, size_t depth, std::string* out) {
@@ -54,36 +84,9 @@ void RenderTextNode(const TraceSpan& span, size_t depth, std::string* out) {
   }
 }
 
-void JsonEscape(const std::string& in, std::string* out) {
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          *out += buffer;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
 void RenderJsonNode(const TraceSpan& span, std::string* out) {
   *out += "{\"name\": \"";
-  JsonEscape(span.name, out);
+  *out += JsonEscape(span.name);
   char buffer[96];
   std::snprintf(buffer, sizeof(buffer),
                 "\", \"simulated_ns\": %" PRIu64 ", \"wall_ns\": %" PRIu64
@@ -93,9 +96,9 @@ void RenderJsonNode(const TraceSpan& span, std::string* out) {
   for (size_t i = 0; i < span.annotations.size(); ++i) {
     if (i > 0) *out += ", ";
     *out += '"';
-    JsonEscape(span.annotations[i].first, out);
+    *out += JsonEscape(span.annotations[i].first);
     *out += "\": \"";
-    JsonEscape(span.annotations[i].second, out);
+    *out += JsonEscape(span.annotations[i].second);
     *out += '"';
   }
   *out += "}, \"children\": [";

@@ -35,7 +35,8 @@ inline bool TraceEnabled() {
   return trace_internal::g_enabled.load(std::memory_order_relaxed);
 }
 
-/// Runtime override used by tests, Explain(), and stats_cli.
+/// Runtime override used by tests and benchmarks. The executor only reads
+/// the switch; Explain() traces its own call without touching it.
 void SetTraceEnabled(bool enabled);
 
 /// One node of a query's operator/step tree.
@@ -64,6 +65,11 @@ struct TraceSpan {
 
 /// Deterministic value formatting shared by all annotation writers.
 std::string TraceFormatDouble(double value);
+
+/// `in` escaped for a JSON string literal: quote, backslash, newline and
+/// tab get their short escapes, other control characters \u00XX; every
+/// other byte passes through. Shared by every JSON writer in the engine.
+std::string JsonEscape(const std::string& in);
 
 /// Human-readable tree rendering (indented, one span per line with its
 /// annotations inline).

@@ -38,24 +38,6 @@ struct DoctorMetrics {
   }
 };
 
-void JsonEscape(const std::string& in, std::string* out) {
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      default:
-        *out += c;
-    }
-  }
-}
-
 }  // namespace
 
 PlacementDoctor::PlacementDoctor(DoctorOptions options)
@@ -259,7 +241,7 @@ std::string DoctorReport::ToJson() const {
     if (i > 0) out += ",";
     out += "{\"column\":" + std::to_string(column.column);
     out += ",\"name\":\"";
-    JsonEscape(column.name, &out);
+    out += JsonEscape(column.name);
     out += "\",\"in_dram_now\":";
     out += column.in_dram_now ? "true" : "false";
     out += ",\"in_dram_recommended\":";

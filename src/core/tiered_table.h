@@ -63,7 +63,9 @@ class TieredTable {
   QueryResult Execute(const Transaction& txn, const Query& query,
                       uint32_t threads = 1);
 
-  /// Executes without recording (benchmark warmups).
+  /// Executes without recording the query in the plan cache (benchmark
+  /// warmups). The executor still records it in the workload monitor (and
+  /// through it the cost calibrator) while the monitor knob is on.
   QueryResult ExecuteUnrecorded(const Transaction& txn, const Query& query,
                                 uint32_t threads = 1) const {
     return executor_->Execute(txn, query, threads);

@@ -32,20 +32,6 @@ void AppendF(std::string* out, const char* fmt, ...) {
   if (n > 0) out->append(buffer, std::min<size_t>(size_t(n), sizeof(buffer)));
 }
 
-std::string JsonEscape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
 /// Simulated ns -> trace-event µs. Three decimals keep full ns precision.
 void AppendTs(std::string* out, const char* key, uint64_t ns) {
   AppendF(out, "\"%s\": %.3f", key, double(ns) / 1000.0);

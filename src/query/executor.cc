@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <optional>
 
 #include "common/assert.h"
@@ -55,129 +54,261 @@ uint64_t WallClockNs() {
                       .count());
 }
 
-/// Starts a child span of `parent` (no-op when `parent` is null) and, on
-/// Finish, stamps the simulated/wall deltas, annotates the IoStats counter
-/// deltas accrued during the step, and moves the child into the parent.
-/// The child is a local value until Finish — never a pointer into the
-/// parent's `children` vector, which reallocates.
-/// Sums an integer annotation over a span subtree (absent = 0).
-uint64_t SubtreeAnnotationSum(const TraceSpan& span, const char* key) {
-  uint64_t total = 0;
-  const std::string& value = span.Annotation(key);
-  if (!value.empty()) total += std::strtoull(value.c_str(), nullptr, 10);
-  for (const TraceSpan& child : span.children) {
-    total += SubtreeAnnotationSum(child, key);
-  }
-  return total;
+/// candidates_out / candidates_in (0 without candidates).
+double Selectivity(uint64_t candidates_in, uint64_t candidates_out) {
+  return candidates_in == 0 ? 0.0
+                            : double(candidates_out) / double(candidates_in);
 }
 
-class ScopedSpan {
- public:
-  ScopedSpan(TraceSpan* parent, const char* name, const IoStats* io)
-      : parent_(parent), io_(io) {
-    if (parent_ == nullptr) return;
-    span_.name = name;
-    io_before_ = *io_;
-    wall_before_ = WallClockNs();
-  }
-
-  /// Finishes on scope exit so early `return status` paths still record the
-  /// (partial) step; an explicit Finish() earlier wins and makes this a
-  /// no-op.
-  ~ScopedSpan() { Finish(); }
-
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  bool active() const { return parent_ != nullptr; }
-  /// The span under construction (null while inactive) — passed down as the
-  /// parent for nested steps. Valid until Finish().
-  TraceSpan* span() { return parent_ != nullptr ? &span_ : nullptr; }
-  void Annotate(std::string key, std::string value) {
-    if (parent_ != nullptr) span_.Annotate(std::move(key), std::move(value));
-  }
-
-  void Finish() {
-    if (parent_ == nullptr) return;
-    span_.simulated_ns = io_->TotalNs() - io_before_.TotalNs();
-    span_.wall_ns = WallClockNs() - wall_before_;
-    const IoStats& after = *io_;
-    // Counter annotations are exclusive (self-only): nested steps already
-    // annotated their share, so subtract each child subtree. The per-span
-    // values then partition the query's IoStats — summing them over the
-    // whole tree reproduces QueryResult::io exactly.
-    auto delta = [&](const char* key, uint64_t before_v, uint64_t after_v) {
-      uint64_t d = after_v - before_v;
-      for (const TraceSpan& child : span_.children) {
-        d -= SubtreeAnnotationSum(child, key);
-      }
-      if (d != 0) span_.Annotate(key, std::to_string(d));
-    };
-    delta("page_reads", io_before_.page_reads, after.page_reads);
-    delta("cache_hits", io_before_.cache_hits, after.cache_hits);
-    delta("retries", io_before_.retries, after.retries);
-    delta("morsels_pruned", io_before_.morsels_pruned, after.morsels_pruned);
-    delta("pages_pruned", io_before_.pages_pruned, after.pages_pruned);
-    delta("checksum_failures", io_before_.checksum_failures,
-          after.checksum_failures);
-    delta("quarantined_pages", io_before_.quarantined_pages,
-          after.quarantined_pages);
-    parent_->children.push_back(std::move(span_));
-    parent_ = nullptr;
-  }
-
- private:
-  TraceSpan* parent_;
-  const IoStats* io_;
-  TraceSpan span_;
-  IoStats io_before_;
-  uint64_t wall_before_ = 0;
-};
-
-/// Standard per-predicate-step annotations: which column, the planner's
-/// estimated selectivity vs. the observed one (survivors / candidates), and
-/// the raw candidate counts.
-void AnnotatePredicateStep(ScopedSpan& span, const std::string& column,
-                           double est_selectivity, size_t candidates_in,
-                           size_t candidates_out) {
-  if (!span.active()) return;
-  span.Annotate("column", column);
-  span.Annotate("est_selectivity", TraceFormatDouble(est_selectivity));
-  span.Annotate("actual_selectivity",
-                TraceFormatDouble(candidates_in == 0
-                                      ? 0.0
-                                      : double(candidates_out) /
-                                            double(candidates_in)));
-  span.Annotate("candidates_in", std::to_string(candidates_in));
-  span.Annotate("candidates_out", std::to_string(candidates_out));
-}
-
-/// Appends one executed predicate step to the query observation (no-op when
-/// `obs` is null, i.e. no monitor attached or the knob is off). Like trace
-/// spans, reads only finished, deterministic engine state.
-void RecordStep(QueryObservation* obs, ColumnId column, StepKind kind,
-                uint64_t candidates_in, uint64_t candidates_out,
-                double est_selectivity, const IoStats& before,
-                const IoStats& after, uint64_t mm_bytes) {
-  if (obs == nullptr) return;
-  StepObservation step;
-  step.column = column;
-  step.kind = kind;
-  step.candidates_in = candidates_in;
-  step.candidates_out = candidates_out;
-  step.estimated_selectivity = est_selectivity;
-  step.observed_selectivity =
-      candidates_in == 0 ? 0.0
-                         : double(candidates_out) / double(candidates_in);
-  step.device_ns = after.device_ns - before.device_ns;
-  step.dram_ns = after.dram_ns - before.dram_ns;
-  step.page_reads = after.page_reads - before.page_reads;
-  step.cache_hits = after.cache_hits - before.cache_hits;
-  step.mm_bytes = mm_bytes;
-  obs->steps.push_back(step);
+/// Annotates the non-zero IoStats counter deltas `after - before`.
+void AnnotateCounters(const IoStats& after, const IoStats& before,
+                      TraceSpan* span) {
+  auto annotate = [span](const char* key, uint64_t value) {
+    if (value != 0) span->Annotate(key, std::to_string(value));
+  };
+  annotate("page_reads", after.page_reads - before.page_reads);
+  annotate("cache_hits", after.cache_hits - before.cache_hits);
+  annotate("retries", after.retries - before.retries);
+  annotate("morsels_pruned", after.morsels_pruned - before.morsels_pruned);
+  annotate("pages_pruned", after.pages_pruned - before.pages_pruned);
+  annotate("checksum_failures",
+           after.checksum_failures - before.checksum_failures);
+  annotate("quarantined_pages",
+           after.quarantined_pages - before.quarantined_pages);
 }
 
 }  // namespace
+
+/// The ordered record of the steps one execution ran (DESIGN.md §11): the
+/// main pass's predicate steps, the main pass itself, then the delta pass
+/// and materialization. Every step appends exactly one entry when it ends,
+/// on the serial control path only, so the record is invariant under the
+/// worker count. After the passes, the trace tree, the workload
+/// observation, the phase vector and the hytap_query_* counters are each
+/// written from it by one function; none of them feeds back into execution.
+struct QueryExecutor::StepRecord {
+  struct Step {
+    /// Span name: index, scan, probe, rescan, main, delta or materialize.
+    const char* name = "";
+    /// The pass the step ran in; predicate steps run in the main pass.
+    QueryPhase phase = QueryPhase::kScanProbe;
+    /// Set for predicate steps only.
+    std::optional<StepKind> kind;
+    ColumnId column = 0;
+    /// Index steps: the index that answered them.
+    const MainIndex* index = nullptr;
+    /// main/delta: rows of the partition; materialize: positions fetched.
+    uint64_t rows = 0;
+    /// Predicate steps: candidates before and after the step. delta: rows
+    /// qualifying, and those visible to the snapshot.
+    uint64_t candidates_in = 0;
+    uint64_t candidates_out = 0;
+    /// Scan/probe/rescan steps.
+    double estimated_selectivity = 0.0;
+    /// Probe/rescan: the scan-vs-probe input (candidates / main rows).
+    double qualifying_fraction = 0.0;
+    /// The step returned an error (its IoStats still count).
+    bool failed = false;
+    IoStats io_before;
+    IoStats io_after;
+    /// MRC scans: modeled DRAM bytes streamed.
+    uint64_t mm_bytes = 0;
+    /// Recorded only when a trace is wanted.
+    uint64_t wall_ns = 0;
+
+    bool is_main() const { return !kind && phase == QueryPhase::kScanProbe; }
+  };
+
+  /// Opens one step and appends it when it goes out of scope, so early
+  /// `return status` paths still record the partial step.
+  class Scope {
+   public:
+    Scope(StepRecord* record, const char* name, QueryPhase phase,
+          const IoStats* io)
+        : record_(record), io_(io) {
+      step_.name = name;
+      step_.phase = phase;
+      step_.io_before = *io;
+      if (record_->timed) wall_before_ = WallClockNs();
+    }
+    ~Scope() {
+      step_.io_after = *io_;
+      if (record_->timed) step_.wall_ns = WallClockNs() - wall_before_;
+      record_->steps.push_back(std::move(step_));
+    }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+    Step* operator->() { return &step_; }
+
+   private:
+    StepRecord* record_;
+    const IoStats* io_;
+    Step step_;
+    uint64_t wall_before_ = 0;
+  };
+
+  bool timed = false;
+  std::vector<Step> steps;
+
+  void CountMetrics(const Table& table, const QueryResult& result) const {
+    QueryMetrics& metrics = QueryMetrics::Get();
+    for (const Step& step : steps) {
+      if (step.kind == StepKind::kIndex) metrics.index_lookups->Add();
+      if (step.kind == StepKind::kRescan) metrics.rescan_steps->Add();
+      if (step.kind == StepKind::kProbe) {
+        metrics.probe_steps->Add();
+        if (table.location(step.column) == ColumnLocation::kSecondary) {
+          metrics.scan_to_probe_switches->Add();
+        }
+      }
+    }
+    metrics.queries->Add();
+    if (!result.status.ok()) metrics.query_failures->Add();
+    metrics.query_sim_ns->Observe(result.io.TotalNs());
+    metrics.query_result_rows->Observe(result.positions.size());
+  }
+
+  void Observe(const Query& query, const QueryResult& result,
+               QueryObservation* obs) const {
+    *obs = QueryObservation();  // caller-provided storage may be reused
+    for (const Step& step : steps) {
+      // Failed steps sampled nothing. Composite index lookups answer
+      // several predicates at once, so their joint selectivity is not
+      // attributable to one column and only the template
+      // (filtered_columns) records them.
+      if (!step.kind || step.failed) continue;
+      if (step.index != nullptr && step.index->columns().size() > 1) continue;
+      StepObservation observed;
+      observed.column = step.column;
+      observed.kind = *step.kind;
+      observed.candidates_in = step.candidates_in;
+      observed.observed_selectivity =
+          Selectivity(step.candidates_in, step.candidates_out);
+      obs->steps.push_back(observed);
+      obs->mm_bytes += step.mm_bytes;
+      if (step.mm_bytes > 0) {
+        obs->mm_scan_ns += step.io_after.dram_ns - step.io_before.dram_ns;
+      }
+    }
+    for (const Predicate& pred : query.predicates) {
+      obs->filtered_columns.push_back(pred.column);
+    }
+    std::sort(obs->filtered_columns.begin(), obs->filtered_columns.end());
+    obs->filtered_columns.erase(std::unique(obs->filtered_columns.begin(),
+                                            obs->filtered_columns.end()),
+                                obs->filtered_columns.end());
+    obs->simulated_ns = result.io.TotalNs();
+    obs->device_ns = result.io.device_ns;
+    obs->page_reads = result.io.page_reads;
+    obs->failed = !result.status.ok();
+  }
+
+  /// DRAM charges accrued by each pass land in its phase; device time
+  /// splits into productive store IO vs retry waste, so the vector
+  /// partitions TotalNs exactly even on cancellation/fault paths with
+  /// partial accrual.
+  void FillPhases(const IoStats& io, PhaseVector* phases) const {
+    *phases = PhaseVector();
+    for (const Step& step : steps) {
+      if (step.kind) continue;  // predicate steps are inside the main pass
+      (*phases)[step.phase] = step.io_after.dram_ns - step.io_before.dram_ns;
+    }
+    (*phases)[QueryPhase::kStoreIo] = io.device_ns - io.retry_backoff_ns;
+    (*phases)[QueryPhase::kRetryBackoff] = io.retry_backoff_ns;
+  }
+
+  std::shared_ptr<const TraceSpan> Trace(const Table& table,
+                                         double probe_threshold,
+                                         const Query& query,
+                                         const std::vector<size_t>& order,
+                                         uint32_t threads,
+                                         const QueryResult& result,
+                                         uint64_t wall_ns) const {
+    auto root = std::make_shared<TraceSpan>();
+    root->name = "execute";
+    root->simulated_ns = result.io.TotalNs();
+    root->wall_ns = wall_ns;
+    root->Annotate("threads", std::to_string(threads));
+    std::string order_names;
+    for (size_t idx : order) {
+      if (!order_names.empty()) order_names += ',';
+      order_names += table.schema()[query.predicates[idx].column].name;
+    }
+    root->Annotate("predicate_order", std::move(order_names));
+    // Predicate steps end before the main pass that contains them; they
+    // wait here until its entry adopts them.
+    std::vector<TraceSpan> predicate_spans;
+    for (const Step& step : steps) {
+      TraceSpan span;
+      span.name = step.name;
+      span.simulated_ns = step.io_after.TotalNs() - step.io_before.TotalNs();
+      span.wall_ns = step.wall_ns;
+      if (step.kind == StepKind::kIndex) {
+        std::string columns;
+        for (ColumnId c : step.index->columns()) {
+          if (!columns.empty()) columns += ',';
+          columns += table.schema()[c].name;
+        }
+        span.Annotate("columns", std::move(columns));
+        span.Annotate("candidates_out", std::to_string(step.candidates_out));
+      } else if (step.kind) {
+        if (step.kind != StepKind::kScan) {
+          // The scan-vs-probe switch (paper §II-B): the decision inputs
+          // show *why* this step scanned or probed.
+          span.Annotate("qualifying_fraction",
+                        TraceFormatDouble(step.qualifying_fraction));
+          span.Annotate("probe_threshold", TraceFormatDouble(probe_threshold));
+          span.Annotate("decision",
+                        step.kind == StepKind::kRescan ? "scan" : "probe");
+        }
+        span.Annotate("column", table.schema()[step.column].name);
+        span.Annotate("est_selectivity",
+                      TraceFormatDouble(step.estimated_selectivity));
+        span.Annotate("actual_selectivity",
+                      TraceFormatDouble(Selectivity(step.candidates_in,
+                                                    step.candidates_out)));
+        span.Annotate("candidates_in", std::to_string(step.candidates_in));
+        span.Annotate("candidates_out", std::to_string(step.candidates_out));
+      } else if (step.is_main()) {
+        span.Annotate("main_rows", std::to_string(step.rows));
+      } else if (step.phase == QueryPhase::kDelta) {
+        span.Annotate("delta_rows", std::to_string(step.rows));
+        span.Annotate("qualifying", std::to_string(step.candidates_in));
+        span.Annotate("visible", std::to_string(step.candidates_out));
+      } else {
+        span.Annotate("positions", std::to_string(step.rows));
+        span.Annotate("projections",
+                      std::to_string(query.projections.size()));
+        span.Annotate("aggregates", std::to_string(query.aggregates.size()));
+      }
+      // Counter annotations are exclusive (self-only): the main pass's
+      // children already annotated their share. The per-span values then
+      // partition the query's IoStats — summing them over the whole tree
+      // reproduces QueryResult::io exactly.
+      IoStats after = step.io_after;
+      IoStats before = step.io_before;
+      if (step.is_main()) {
+        for (const Step& child : steps) {
+          if (!child.kind) continue;
+          after += child.io_before;
+          before += child.io_after;
+        }
+        span.children = std::move(predicate_spans);
+      }
+      AnnotateCounters(after, before, &span);
+      if (step.kind) {
+        predicate_spans.push_back(std::move(span));
+      } else {
+        root->children.push_back(std::move(span));
+      }
+    }
+    root->Annotate("status", result.status.ok() ? std::string("ok")
+                                                : result.status.ToString());
+    root->Annotate("result_rows", std::to_string(result.positions.size()));
+    return root;
+  }
+};
 
 QueryExecutor::QueryExecutor(const Table* table, double probe_threshold)
     : table_(table), probe_threshold_(probe_threshold) {
@@ -283,8 +414,7 @@ const MainIndex* QueryExecutor::PickIndex(const Query& query,
 Status QueryExecutor::ExecuteMain(const Transaction& txn, const Query& query,
                                   const std::vector<size_t>& order,
                                   const ExecOptions& opts, QueryResult* result,
-                                  TraceSpan* trace,
-                                  QueryObservation* obs) const {
+                                  StepRecord* record) const {
   const uint32_t threads = opts.threads;
   const size_t main_rows = table_->main_row_count();
   if (main_rows == 0) return Status::Ok();
@@ -293,51 +423,32 @@ Status QueryExecutor::ExecuteMain(const Transaction& txn, const Query& query,
   }
   PositionList positions;
   bool first = true;
-  IoStats obs_before;  // io snapshot at the start of the current step
   // Index access path.
   std::vector<size_t> used_predicates;
   if (!query.predicates.empty()) {
     if (const MainIndex* index = PickIndex(query, &used_predicates)) {
-      if (obs != nullptr) obs_before = result->io;
-      ScopedSpan span(trace, "index", &result->io);
+      const Predicate& pred = query.predicates[used_predicates[0]];
+      StepRecord::Scope step(record, "index", QueryPhase::kScanProbe,
+                             &result->io);
+      step->kind = StepKind::kIndex;
+      step->index = index;
+      step->column = pred.column;
       if (index->columns().size() > 1) {
         Row key(index->columns().size());
         for (size_t k = 0; k < index->columns().size(); ++k) {
           key[k] = *query.predicates[used_predicates[k]].lo;
         }
         positions = index->Lookup(key);
+      } else if (IsEquality(pred)) {
+        positions = index->Lookup({*pred.lo});
       } else {
-        const Predicate& pred = query.predicates[used_predicates[0]];
-        if (IsEquality(pred)) {
-          positions = index->Lookup({*pred.lo});
-        } else {
-          index->RangeLookup(pred.LoPtr(), pred.HiPtr(), &positions);
-        }
+        index->RangeLookup(pred.LoPtr(), pred.HiPtr(), &positions);
       }
       result->io.dram_ns += IndexLookupCostNs(index->size(),
                                               positions.size());
       result->candidate_trace.push_back(positions.size());
-      QueryMetrics::Get().index_lookups->Add();
-      if (span.active()) {
-        std::string columns;
-        for (ColumnId c : index->columns()) {
-          if (!columns.empty()) columns += ',';
-          columns += table_->schema()[c].name;
-        }
-        span.Annotate("columns", std::move(columns));
-        span.Annotate("candidates_out", std::to_string(positions.size()));
-      }
-      span.Finish();
-      // Single-column index lookups sample that column's selectivity;
-      // composite lookups answer several predicates at once, so their joint
-      // selectivity is not attributable to one column and only the template
-      // (filtered_columns) records them.
-      if (obs != nullptr && index->columns().size() == 1) {
-        const Predicate& pred = query.predicates[used_predicates[0]];
-        RecordStep(obs, pred.column, StepKind::kIndex, main_rows,
-                   positions.size(), EstimateSelectivity(pred), obs_before,
-                   result->io, 0);
-      }
+      step->candidates_in = main_rows;
+      step->candidates_out = positions.size();
       first = false;
     }
   }
@@ -350,38 +461,32 @@ Status QueryExecutor::ExecuteMain(const Transaction& txn, const Query& query,
       return Status::Cancelled("query cancelled between predicate steps");
     }
     const Predicate& pred = query.predicates[idx];
-    const size_t candidates_in = positions.size();
-    const char* step = nullptr;
-    if (obs != nullptr) obs_before = result->io;
     if (first) {
-      step = "scan";
-      ScopedSpan span(trace, step, &result->io);
+      StepRecord::Scope step(record, "scan", QueryPhase::kScanProbe,
+                             &result->io);
+      step->kind = StepKind::kScan;
+      step->column = pred.column;
+      step->estimated_selectivity = EstimateSelectivity(pred);
       Status status = ScanMainColumn(*table_, pred.column, pred, threads,
                                      &positions, &result->io, nullptr,
                                      opts.buffers);
-      AnnotatePredicateStep(span, table_->schema()[pred.column].name,
-                            span.active() ? EstimateSelectivity(pred) : 0.0,
-                            main_rows, positions.size());
-      span.Finish();
+      step->candidates_in = main_rows;
+      step->candidates_out = positions.size();
+      step->failed = !status.ok();
       if (!status.ok()) return status;
-      if (obs != nullptr) {
+      if (table_->location(pred.column) == ColumnLocation::kDram) {
         // Modeled DRAM bytes of an MRC scan: the bit-packed code vector
         // scaled by the surviving (unpruned) morsel fraction — mirroring the
         // dram_ns the scan charged, but denominated in bytes so the
         // calibrator can fit ns/byte independently of the reference params.
-        uint64_t mm_bytes = 0;
-        if (table_->location(pred.column) == ColumnLocation::kDram) {
-          const AbstractColumn* mrc = table_->mrc(pred.column);
-          const uint64_t bytes = mrc->MemoryUsage();
-          const uint64_t morsels =
-              ThreadPool::MorselCount(0, mrc->size(), kScanMorselRows);
-          const uint64_t pruned =
-              result->io.morsels_pruned - obs_before.morsels_pruned;
-          mm_bytes = morsels == 0 ? bytes : bytes - bytes * pruned / morsels;
-        }
-        RecordStep(obs, pred.column, StepKind::kScan, main_rows,
-                   positions.size(), EstimateSelectivity(pred), obs_before,
-                   result->io, mm_bytes);
+        const AbstractColumn* mrc = table_->mrc(pred.column);
+        const uint64_t bytes = mrc->MemoryUsage();
+        const uint64_t morsels =
+            ThreadPool::MorselCount(0, mrc->size(), kScanMorselRows);
+        const uint64_t pruned =
+            result->io.morsels_pruned - step->io_before.morsels_pruned;
+        step->mm_bytes =
+            morsels == 0 ? bytes : bytes - bytes * pruned / morsels;
       }
       first = false;
     } else if (positions.empty()) {
@@ -394,65 +499,36 @@ Status QueryExecutor::ExecuteMain(const Transaction& txn, const Query& query,
       const bool rescan =
           fraction >= probe_threshold_ &&
           table_->location(pred.column) == ColumnLocation::kSecondary;
-      step = rescan ? "rescan" : "probe";
-      ScopedSpan span(trace, step, &result->io);
-      if (span.active()) {
-        // The scan-vs-probe switch (paper §II-B): annotate the decision
-        // inputs so EXPLAIN shows *why* this step scanned or probed.
-        span.Annotate("qualifying_fraction", TraceFormatDouble(fraction));
-        span.Annotate("probe_threshold", TraceFormatDouble(probe_threshold_));
-        span.Annotate("decision", rescan ? "scan" : "probe");
-      }
+      StepRecord::Scope step(record, rescan ? "rescan" : "probe",
+                             QueryPhase::kScanProbe, &result->io);
+      step->kind = rescan ? StepKind::kRescan : StepKind::kProbe;
+      step->column = pred.column;
+      step->estimated_selectivity = EstimateSelectivity(pred);
+      step->qualifying_fraction = fraction;
+      step->candidates_in = positions.size();
+      Status status;
       if (rescan) {
         // Too many candidates for random page probes: sequentially scan the
         // tiered group and intersect (paper §II-B scan-vs-probe switch).
         // The rescan is restricted to the page span covered by the
         // surviving candidates — pages outside it cannot contribute to the
         // intersection.
-        QueryMetrics::Get().rescan_steps->Add();
         PositionList scanned;
-        Status status = ScanMainColumn(*table_, pred.column, pred, threads,
-                                       &scanned, &result->io, &positions,
-                                       opts.buffers);
-        if (!status.ok()) {
-          AnnotatePredicateStep(span, table_->schema()[pred.column].name,
-                                span.active() ? EstimateSelectivity(pred)
-                                              : 0.0,
-                                candidates_in, 0);
-          span.Finish();
-          return status;
+        status = ScanMainColumn(*table_, pred.column, pred, threads, &scanned,
+                                &result->io, &positions, opts.buffers);
+        if (status.ok()) {
+          std::set_intersection(positions.begin(), positions.end(),
+                                scanned.begin(), scanned.end(),
+                                std::back_inserter(next));
         }
-        std::set_intersection(positions.begin(), positions.end(),
-                              scanned.begin(), scanned.end(),
-                              std::back_inserter(next));
       } else {
-        QueryMetrics::Get().probe_steps->Add();
-        if (table_->location(pred.column) == ColumnLocation::kSecondary) {
-          QueryMetrics::Get().scan_to_probe_switches->Add();
-        }
-        Status status = ProbeMainColumn(*table_, pred.column, pred, positions,
-                                        threads, &next, &result->io,
-                                        opts.buffers);
-        if (!status.ok()) {
-          AnnotatePredicateStep(span, table_->schema()[pred.column].name,
-                                span.active() ? EstimateSelectivity(pred)
-                                              : 0.0,
-                                candidates_in, 0);
-          span.Finish();
-          return status;
-        }
+        status = ProbeMainColumn(*table_, pred.column, pred, positions,
+                                 threads, &next, &result->io, opts.buffers);
       }
+      step->failed = !status.ok();
+      if (!status.ok()) return status;
       positions = std::move(next);
-      AnnotatePredicateStep(span, table_->schema()[pred.column].name,
-                            span.active() ? EstimateSelectivity(pred) : 0.0,
-                            candidates_in, positions.size());
-      span.Finish();
-      if (obs != nullptr) {
-        RecordStep(obs, pred.column,
-                   rescan ? StepKind::kRescan : StepKind::kProbe,
-                   candidates_in, positions.size(), EstimateSelectivity(pred),
-                   obs_before, result->io, 0);
-      }
+      step->candidates_out = positions.size();
     }
     result->candidate_trace.push_back(positions.size());
   }
@@ -470,7 +546,7 @@ Status QueryExecutor::ExecuteMain(const Transaction& txn, const Query& query,
 void QueryExecutor::ExecuteDelta(const Transaction& txn, const Query& query,
                                  const std::vector<size_t>& order,
                                  const ExecOptions& opts, QueryResult* result,
-                                 TraceSpan* trace) const {
+                                 StepRecord* record) const {
   // Bounded by the submit-time delta size when serving: rows appended while
   // the query was queued are invisible to its snapshot, so excluding them
   // from the scan span keeps the DRAM cost (and the observation) a pure
@@ -478,7 +554,8 @@ void QueryExecutor::ExecuteDelta(const Transaction& txn, const Query& query,
   const size_t delta_rows =
       std::min(opts.delta_limit, table_->delta_row_count());
   if (delta_rows == 0) return;
-  ScopedSpan span(trace, "delta", &result->io);
+  StepRecord::Scope step(record, "delta", QueryPhase::kDelta, &result->io);
+  step->rows = delta_rows;
   PositionList positions;
   bool first = true;
   for (size_t idx : order) {
@@ -509,12 +586,8 @@ void QueryExecutor::ExecuteDelta(const Transaction& txn, const Query& query,
       ++visible;
     }
   }
-  if (span.active()) {
-    span.Annotate("delta_rows", std::to_string(delta_rows));
-    span.Annotate("qualifying", std::to_string(positions.size()));
-    span.Annotate("visible", std::to_string(visible));
-  }
-  span.Finish();
+  step->candidates_in = positions.size();
+  step->candidates_out = visible;
 }
 
 namespace {
@@ -539,7 +612,7 @@ double NumericAsDouble(const Value& v) {
 
 Status QueryExecutor::Materialize(const Query& query, const ExecOptions& opts,
                                   QueryResult* result,
-                                  TraceSpan* trace) const {
+                                  StepRecord* record) const {
   if (query.projections.empty() && query.aggregates.empty()) {
     return Status::Ok();
   }
@@ -549,12 +622,9 @@ Status QueryExecutor::Materialize(const Query& query, const ExecOptions& opts,
   if (StopRequested(opts)) {
     return Status::Cancelled("query cancelled before materialization");
   }
-  ScopedSpan span(trace, "materialize", &result->io);
-  if (span.active()) {
-    span.Annotate("positions", std::to_string(result->positions.size()));
-    span.Annotate("projections", std::to_string(query.projections.size()));
-    span.Annotate("aggregates", std::to_string(query.aggregates.size()));
-  }
+  StepRecord::Scope step(record, "materialize", QueryPhase::kMaterialize,
+                         &result->io);
+  step->rows = result->positions.size();
   const size_t main_rows = table_->main_row_count();
   // Fetch set: projections first, then any extra aggregate inputs, so
   // SSCG attributes of one row still share a single page access
@@ -719,76 +789,33 @@ QueryResult QueryExecutor::Execute(const Transaction& txn, const Query& query,
 
 QueryResult QueryExecutor::Execute(const Transaction& txn, const Query& query,
                                    const ExecOptions& opts) const {
+  return Run(txn, query, opts, TraceEnabled());
+}
+
+QueryResult QueryExecutor::Run(const Transaction& txn, const Query& query,
+                               const ExecOptions& opts, bool trace) const {
   HYTAP_ASSERT(opts.threads >= 1, "thread count must be >= 1");
   QueryResult result;
   if (opts.observation_filled != nullptr) *opts.observation_filled = false;
-  // Observation building (like tracing) happens only on the serial control
-  // path and reads finished state — never feeds back into execution — so
-  // the monitor being attached/enabled cannot change results, IO counters,
-  // or fault schedules (workload_monitor_test asserts bit-identity).
-  QueryObservation obs_storage;
-  QueryObservation* obs = nullptr;
-  if (monitor_ != nullptr && WorkloadMonitorEnabled()) {
-    obs = opts.observation != nullptr ? opts.observation : &obs_storage;
-    *obs = QueryObservation();  // caller-provided storage may be reused
-  }
   const std::vector<size_t> order = PredicateOrder(query);
-  std::unique_ptr<TraceSpan> root;
-  uint64_t wall_before = 0;
-  if (TraceEnabled()) {
-    root = std::make_unique<TraceSpan>();
-    root->name = "execute";
-    root->Annotate("threads", std::to_string(opts.threads));
-    std::string order_names;
-    for (size_t idx : order) {
-      if (!order_names.empty()) order_names += ',';
-      order_names += table_->schema()[query.predicates[idx].column].name;
-    }
-    root->Annotate("predicate_order", std::move(order_names));
-    wall_before = WallClockNs();
-  }
-  // Phase accounting reads finished IoStats at the pass boundaries — like
-  // tracing, it never feeds back into execution. DRAM charges accrued by
-  // each pass land in its phase; device time splits into productive store
-  // IO vs retry waste at the end, so the vector partitions TotalNs exactly
-  // even on cancellation/fault paths with partial accrual.
-  PhaseVector* phases =
-      (opts.phases != nullptr && PhaseAccountingEnabled()) ? opts.phases
-                                                           : nullptr;
-  if (phases != nullptr) *phases = PhaseVector();
+  StepRecord record;
+  record.timed = trace;
+  record.steps.reserve(order.size() + 3);
+  const uint64_t wall_before = trace ? WallClockNs() : 0;
   {
-    ScopedSpan main_span(root.get(), "main", &result.io);
-    if (main_span.active()) {
-      main_span.Annotate("main_rows",
-                         std::to_string(table_->main_row_count()));
-    }
-    result.status = ExecuteMain(txn, query, order, opts, &result,
-                                main_span.span(), obs);
-  }
-  uint64_t phase_dram_mark = result.io.dram_ns;
-  if (phases != nullptr) {
-    (*phases)[QueryPhase::kScanProbe] = result.io.dram_ns;
+    StepRecord::Scope main(&record, "main", QueryPhase::kScanProbe,
+                           &result.io);
+    main->rows = table_->main_row_count();
+    result.status = ExecuteMain(txn, query, order, opts, &result, &record);
   }
   if (result.status.ok() && StopRequested(opts)) {
     result.status = Status::Cancelled("query cancelled before the delta scan");
   }
   if (result.status.ok()) {
-    ExecuteDelta(txn, query, order, opts, &result, root.get());
-    if (phases != nullptr) {
-      (*phases)[QueryPhase::kDelta] = result.io.dram_ns - phase_dram_mark;
-      phase_dram_mark = result.io.dram_ns;
-    }
-    result.status = Materialize(query, opts, &result, root.get());
-    if (phases != nullptr) {
-      (*phases)[QueryPhase::kMaterialize] =
-          result.io.dram_ns - phase_dram_mark;
-    }
+    ExecuteDelta(txn, query, order, opts, &result, &record);
+    result.status = Materialize(query, opts, &result, &record);
   }
-  if (phases != nullptr) {
-    (*phases)[QueryPhase::kStoreIo] =
-        result.io.device_ns - result.io.retry_backoff_ns;
-    (*phases)[QueryPhase::kRetryBackoff] = result.io.retry_backoff_ns;
-  }
+  const uint64_t wall_ns = trace ? WallClockNs() - wall_before : 0;
   if (!result.status.ok()) {
     // Degrade cleanly: no partial positions, rows or aggregates ever leave
     // the executor. The accrued `io` and `status` are the whole result.
@@ -797,31 +824,15 @@ QueryResult QueryExecutor::Execute(const Transaction& txn, const Query& query,
     result.aggregate_values.clear();
     result.candidate_trace.clear();
   }
-  QueryMetrics& metrics = QueryMetrics::Get();
-  metrics.queries->Add();
-  if (!result.status.ok()) metrics.query_failures->Add();
-  metrics.query_sim_ns->Observe(result.io.TotalNs());
-  metrics.query_result_rows->Observe(result.positions.size());
-  if (obs != nullptr) {
-    for (const Predicate& pred : query.predicates) {
-      obs->filtered_columns.push_back(pred.column);
-    }
-    std::sort(obs->filtered_columns.begin(), obs->filtered_columns.end());
-    obs->filtered_columns.erase(std::unique(obs->filtered_columns.begin(),
-                                            obs->filtered_columns.end()),
-                                obs->filtered_columns.end());
-    obs->simulated_ns = result.io.TotalNs();
-    obs->device_ns = result.io.device_ns;
-    obs->dram_ns = result.io.dram_ns;
-    obs->page_reads = result.io.page_reads;
-    obs->cache_hits = result.io.cache_hits;
-    for (const StepObservation& step : obs->steps) {
-      obs->mm_bytes += step.mm_bytes;
-      if (step.mm_bytes > 0) obs->mm_scan_ns += step.dram_ns;
-    }
-    obs->result_rows = result.positions.size();
-    obs->table_rows = table_->main_row_count() + table_->delta_row_count();
-    obs->failed = !result.status.ok();
+  // The views below read only the finished record and result — never feed
+  // back into execution — so attaching a monitor, enabling phase accounting
+  // or tracing cannot change results, IO counters or fault schedules.
+  record.CountMetrics(*table_, result);
+  if (monitor_ != nullptr && WorkloadMonitorEnabled()) {
+    QueryObservation obs_storage;
+    QueryObservation* obs =
+        opts.observation != nullptr ? opts.observation : &obs_storage;
+    record.Observe(query, result, obs);
     if (opts.observation != nullptr) {
       // Hand the observation back instead of recording it: the serving layer
       // replays observations in ticket order so the monitor's windows and
@@ -831,14 +842,12 @@ QueryResult QueryExecutor::Execute(const Transaction& txn, const Query& query,
       monitor_->Record(*obs);
     }
   }
-  if (root != nullptr) {
-    root->simulated_ns = result.io.TotalNs();
-    root->wall_ns = WallClockNs() - wall_before;
-    root->Annotate("status", result.status.ok()
-                                 ? std::string("ok")
-                                 : result.status.ToString());
-    root->Annotate("result_rows", std::to_string(result.positions.size()));
-    result.trace = std::shared_ptr<const TraceSpan>(root.release());
+  if (opts.phases != nullptr && PhaseAccountingEnabled()) {
+    record.FillPhases(result.io, opts.phases);
+  }
+  if (trace) {
+    result.trace = record.Trace(*table_, probe_threshold_, query, order,
+                                opts.threads, result, wall_ns);
   }
   return result;
 }
@@ -846,17 +855,12 @@ QueryResult QueryExecutor::Execute(const Transaction& txn, const Query& query,
 ExplainResult QueryExecutor::Explain(const Transaction& txn,
                                      const Query& query,
                                      uint32_t threads) const {
-  // Force tracing for this call only; the global knob (and with it any
-  // concurrent caller's behavior) is restored before returning.
-  const bool was_enabled = TraceEnabled();
-  SetTraceEnabled(true);
+  ExecOptions opts;
+  opts.threads = threads;
   ExplainResult out;
-  out.result = Execute(txn, query, threads);
-  SetTraceEnabled(was_enabled);
-  if (out.result.trace != nullptr) {
-    out.text = RenderTraceText(*out.result.trace);
-    out.json = RenderTraceJson(*out.result.trace);
-  }
+  out.result = Run(txn, query, opts, /*trace=*/true);
+  out.text = RenderTraceText(*out.result.trace);
+  out.json = RenderTraceJson(*out.result.trace);
   return out;
 }
 

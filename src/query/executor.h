@@ -36,9 +36,10 @@ struct QueryResult {
   /// diagnostics and tests of the predicate-ordering logic.
   std::vector<size_t> candidate_trace;
   /// Operator/step tree of this execution, populated while `TraceEnabled()`
-  /// (null otherwise). Kept even when `status` is an error — the partial
-  /// trace up to the failing step is the main diagnostic for failed
-  /// queries. Shared so QueryResult stays cheaply copyable.
+  /// and by Explain() (null otherwise). Kept even when `status` is an
+  /// error — the partial trace up to the failing step is the main
+  /// diagnostic for failed queries. Shared so QueryResult stays cheaply
+  /// copyable.
   std::shared_ptr<const TraceSpan> trace;
 };
 
@@ -110,12 +111,13 @@ class QueryExecutor {
   QueryResult Execute(const Transaction& txn, const Query& query,
                       const ExecOptions& opts) const;
 
-  /// Execute() with tracing forced on for the duration of the call (the
-  /// global HYTAP_TRACE state is restored afterwards), returning the result
-  /// together with the rendered operator tree. The trace reports the chosen
-  /// predicate order with estimated vs. actual selectivities, index usage,
-  /// every scan-vs-probe decision (candidate fraction vs. threshold), and
-  /// per-step pruning/IO counters that sum to the result's IoStats.
+  /// Execute() with a trace of this call only — the process-wide
+  /// HYTAP_TRACE switch is left untouched, so concurrent executions are
+  /// unaffected — returning the result together with the rendered operator
+  /// tree. The trace reports the chosen predicate order with estimated vs.
+  /// actual selectivities, index usage, every scan-vs-probe decision
+  /// (candidate fraction vs. threshold), and per-step pruning/IO counters
+  /// that sum to the result's IoStats.
   ExplainResult Explain(const Transaction& txn, const Query& query,
                         uint32_t threads = 1) const;
 
@@ -124,10 +126,10 @@ class QueryExecutor {
   std::vector<size_t> PredicateOrder(const Query& query) const;
 
   /// Attaches a workload monitor (not owned; pass null to detach). While
-  /// attached and `WorkloadMonitorEnabled()`, Execute() builds one
-  /// QueryObservation per query on its serial control path — a pure observer
-  /// of finished results and IoStats, so execution stays bit-identical with
-  /// or without it — and feeds it to the monitor.
+  /// attached and `WorkloadMonitorEnabled()`, Execute() writes one
+  /// QueryObservation per query from its step record — a pure observer of
+  /// finished results and IoStats, so execution stays bit-identical with or
+  /// without it — and feeds it to the monitor.
   void set_monitor(WorkloadMonitor* monitor) { monitor_ = monitor; }
   WorkloadMonitor* monitor() const { return monitor_; }
 
@@ -141,19 +143,26 @@ class QueryExecutor {
   const MainIndex* PickIndex(const Query& query,
                              std::vector<size_t>* used) const;
 
-  /// The `trace` parameters receive child spans when non-null (tracing on);
-  /// spans are built only on these serial control paths, never inside
-  /// worker morsels, so the tree is invariant under the worker count. `obs`
-  /// likewise receives per-step observations when non-null (monitor on).
+  /// The ordered record of executed steps that the trace tree, the
+  /// workload observation, the phase vector and the metrics are written
+  /// from (defined in executor.cc).
+  struct StepRecord;
+
+  /// Execute(), traced when `trace` is set.
+  QueryResult Run(const Transaction& txn, const Query& query,
+                  const ExecOptions& opts, bool trace) const;
+
+  /// The passes append their steps to `record`, only on these serial
+  /// control paths, never inside worker morsels, so the record is invariant
+  /// under the worker count.
   Status ExecuteMain(const Transaction& txn, const Query& query,
                      const std::vector<size_t>& order, const ExecOptions& opts,
-                     QueryResult* result, TraceSpan* trace,
-                     QueryObservation* obs) const;
+                     QueryResult* result, StepRecord* record) const;
   void ExecuteDelta(const Transaction& txn, const Query& query,
                     const std::vector<size_t>& order, const ExecOptions& opts,
-                    QueryResult* result, TraceSpan* trace) const;
+                    QueryResult* result, StepRecord* record) const;
   Status Materialize(const Query& query, const ExecOptions& opts,
-                     QueryResult* result, TraceSpan* trace) const;
+                     QueryResult* result, StepRecord* record) const;
 
   const Table* table_;
   double probe_threshold_;

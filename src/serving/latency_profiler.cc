@@ -25,16 +25,6 @@ void AppendF(std::string* out, const char* fmt, ...) {
   if (n > 0) out->append(buffer, std::min<size_t>(size_t(n), sizeof(buffer)));
 }
 
-std::string JsonEscape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 /// Per-(class, phase) latency histograms plus the profiler counters,
 /// registered once and updated lock-free afterward.
 struct PhaseMetrics {

@@ -224,8 +224,6 @@ void WorkloadMonitor::Record(const QueryObservation& observation) {
     now_ns_ += observation.simulated_ns;
     RollLocked();
     ++queries_observed_;
-    ++observation_sequence_;
-    last_observation_ = observation;
     MonitorMetrics& metrics = MonitorMetrics::Get();
     metrics.queries->Add();
     metrics.live_windows->Set(int64_t(ring_.size()));
@@ -271,16 +269,6 @@ uint64_t WorkloadMonitor::queries_observed() const {
   return queries_observed_;
 }
 
-uint64_t WorkloadMonitor::observation_sequence() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return observation_sequence_;
-}
-
-QueryObservation WorkloadMonitor::last_observation() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return last_observation_;
-}
-
 WorkloadWindowSnapshot WorkloadMonitor::Snapshot(size_t i) const {
   std::lock_guard<std::mutex> lock(mutex_);
   HYTAP_ASSERT(i < ring_.size(), "window index out of range");
@@ -320,8 +308,6 @@ void WorkloadMonitor::Reset() {
   now_ns_ = 0;
   windows_started_ = 1;
   queries_observed_ = 0;
-  observation_sequence_ = 0;
-  last_observation_ = QueryObservation();
 }
 
 }  // namespace hytap

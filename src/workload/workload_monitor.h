@@ -18,8 +18,8 @@ class Table;
 
 /// Workload-drift telemetry (DESIGN.md §12).
 ///
-/// The executor feeds one QueryObservation per executed query — built on the
-/// same serial control path as trace spans — into a ring buffer of
+/// The executor feeds one QueryObservation per executed query — written
+/// from the same step record as its trace spans — into a ring buffer of
 /// fixed-width windows over the *simulated* clock. Each window tracks the
 /// per-column access frequency g_i, the *observed* (not estimated)
 /// selectivity per column, the scan-vs-probe mix, and per-template counts,
@@ -54,26 +54,16 @@ struct StepObservation {
   ColumnId column = 0;
   StepKind kind = StepKind::kScan;
   uint64_t candidates_in = 0;
-  uint64_t candidates_out = 0;
-  double estimated_selectivity = 0.0;
-  /// candidates_out / candidates_in — the measured (conditional)
+  /// Surviving / incoming candidates — the measured (conditional)
   /// selectivity, which under the model's independence assumption samples
   /// the marginal s_i.
   double observed_selectivity = 0.0;
-  /// IoStats deltas accrued during this step (exclusive).
-  uint64_t device_ns = 0;
-  uint64_t dram_ns = 0;
-  uint64_t page_reads = 0;
-  uint64_t cache_hits = 0;
-  /// Modeled DRAM bytes streamed by this step (MRC scans only; scaled by
-  /// the surviving zone-map fraction). Secondary bytes are page_reads *
-  /// kPageSize and need no per-step tracking.
-  uint64_t mm_bytes = 0;
 };
 
-/// Everything the monitor and the cost calibrator need to know about one
-/// executed query. Built by QueryExecutor::Execute when a monitor is
-/// attached and the knob is on; reads only deterministic engine state.
+/// Everything the monitor, the plan cache and the cost calibrator read
+/// about one executed query. Written by QueryExecutor::Execute from its
+/// step record when a monitor is attached and the knob is on; reads only
+/// deterministic engine state.
 struct QueryObservation {
   /// Sorted, deduplicated filtered-column set — the plan-cache template key.
   std::vector<ColumnId> filtered_columns;
@@ -81,16 +71,14 @@ struct QueryObservation {
   /// Query totals (QueryResult::io).
   uint64_t simulated_ns = 0;
   uint64_t device_ns = 0;
-  uint64_t dram_ns = 0;
   uint64_t page_reads = 0;
-  uint64_t cache_hits = 0;
-  /// Modeled DRAM bytes of the MRC scan steps and the dram_ns they accrued
-  /// (the bandwidth-shaped share of the query; probes and materialization
-  /// charge per-touch costs that the scan-cost model does not cover).
+  /// Modeled DRAM bytes of the MRC scan steps (scaled by the surviving
+  /// zone-map fraction) and the dram_ns they accrued (the bandwidth-shaped
+  /// share of the query; probes and materialization charge per-touch costs
+  /// that the scan-cost model does not cover). Secondary bytes are
+  /// page_reads * kPageSize.
   uint64_t mm_bytes = 0;
   uint64_t mm_scan_ns = 0;
-  uint64_t result_rows = 0;
-  uint64_t table_rows = 0;
   bool failed = false;
 };
 
@@ -196,14 +184,8 @@ class WorkloadMonitor {
   size_t window_count() const;
   /// Total windows ever started (1 after construction).
   uint64_t windows_started() const;
+  /// Record() calls since construction or the last Reset().
   uint64_t queries_observed() const;
-
-  /// Monotonically increasing count of Record() calls. Callers pair it
-  /// around an Execute() to tell whether *that* query produced the
-  /// observation now readable via last_observation().
-  uint64_t observation_sequence() const;
-  /// The most recent observation (valid once observation_sequence() > 0).
-  QueryObservation last_observation() const;
 
   /// Snapshot of live window `i` (0 = oldest, window_count()-1 = current).
   WorkloadWindowSnapshot Snapshot(size_t i) const;
@@ -234,8 +216,6 @@ class WorkloadMonitor {
   uint64_t now_ns_ = 0;
   uint64_t windows_started_ = 1;
   uint64_t queries_observed_ = 0;
-  uint64_t observation_sequence_ = 0;
-  QueryObservation last_observation_;
   QueryObservationSink* sink_ = nullptr;
 };
 

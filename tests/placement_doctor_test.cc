@@ -244,5 +244,18 @@ TEST(PlacementDoctorTest, EmptyWorkloadYieldsZeroReport) {
   EXPECT_DOUBLE_EQ(report.current_cost, 0.0);
 }
 
+TEST(PlacementDoctorTest, JsonEscapesControlCharactersInColumnNames) {
+  DoctorReport report;
+  MisplacedColumn column;
+  column.column = 3;
+  column.name = "net\tamount\x01";
+  report.misplaced.push_back(column);
+  const std::string json = report.ToJson();
+  EXPECT_EQ(json.find('\t'), std::string::npos) << json;
+  EXPECT_EQ(json.find('\x01'), std::string::npos) << json;
+  EXPECT_NE(json.find("\"name\":\"net\\tamount\\u0001\""), std::string::npos)
+      << json;
+}
+
 }  // namespace
 }  // namespace hytap

@@ -97,7 +97,6 @@ QueryObservation ObservedScan(ColumnId column, uint64_t candidates_in,
   step.column = column;
   step.kind = StepKind::kScan;
   step.candidates_in = candidates_in;
-  step.candidates_out = candidates_out;
   step.observed_selectivity =
       candidates_in == 0 ? 0.0 : double(candidates_out) / double(candidates_in);
   obs.steps.push_back(step);

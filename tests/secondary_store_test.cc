@@ -4,7 +4,6 @@
 
 #include <cstring>
 
-#include "common/simulated_clock.h"
 #include "storage/sscg.h"
 
 namespace hytap {
@@ -70,16 +69,6 @@ TEST(SecondaryStoreDeathTest, OutOfRangeAborts) {
   SecondaryStore::Page dest;
   EXPECT_DEATH(store.ReadPage(0, &dest, AccessPattern::kRandom),
                "out of range");
-}
-
-TEST(SimulatedClockTest, AdvanceAndReset) {
-  SimulatedClock clock;
-  EXPECT_EQ(clock.NowNs(), 0u);
-  EXPECT_EQ(clock.Advance(100), 100u);
-  EXPECT_EQ(clock.Advance(50), 150u);
-  EXPECT_EQ(clock.NowNs(), 150u);
-  clock.Reset();
-  EXPECT_EQ(clock.NowNs(), 0u);
 }
 
 TEST(IoStatsTest, Accumulation) {

@@ -25,12 +25,10 @@ QueryObservation MakeObservation(std::vector<ColumnId> columns,
     step.column = c;
     step.kind = StepKind::kScan;
     step.candidates_in = 1000;
-    step.candidates_out = uint64_t(1000 * observed_selectivity);
     step.observed_selectivity = observed_selectivity;
     obs.steps.push_back(step);
   }
   obs.simulated_ns = simulated_ns;
-  obs.table_rows = 1000;
   return obs;
 }
 
@@ -177,24 +175,22 @@ TEST(WorkloadMonitorTest, SequenceSinkAndReset) {
 
   WorkloadMonitor monitor(2, SmallRing(2, 100));
   monitor.set_sink(&sink);
-  EXPECT_EQ(monitor.observation_sequence(), 0u);
+  EXPECT_EQ(monitor.queries_observed(), 0u);
   monitor.Record(MakeObservation({0}, 17));
-  EXPECT_EQ(monitor.observation_sequence(), 1u);
-  EXPECT_EQ(monitor.last_observation().simulated_ns, 17u);
+  EXPECT_EQ(monitor.queries_observed(), 1u);
   EXPECT_EQ(sink.calls, 1u);
   EXPECT_EQ(sink.last_ns, 17u);
 
   monitor.set_sink(nullptr);
   monitor.Record(MakeObservation({0}, 3));
   EXPECT_EQ(sink.calls, 1u);  // detached
-  EXPECT_EQ(monitor.observation_sequence(), 2u);
+  EXPECT_EQ(monitor.queries_observed(), 2u);
 
   monitor.Reset();
   EXPECT_EQ(monitor.now_ns(), 0u);
   EXPECT_EQ(monitor.window_count(), 1u);
   EXPECT_EQ(monitor.windows_started(), 1u);
   EXPECT_EQ(monitor.queries_observed(), 0u);
-  EXPECT_EQ(monitor.observation_sequence(), 0u);
 }
 
 TEST(WorkloadMonitorTest, KnobToggles) {
