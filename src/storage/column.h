@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/types.h"
@@ -22,6 +23,31 @@ struct ColumnDefinition {
 };
 
 using Schema = std::vector<ColumnDefinition>;
+
+/// One column's values, unboxed. The alternative index equals the column's
+/// DataType (as in Value), so loads, merges and migrations move one typed
+/// vector per column instead of one boxed Value per cell.
+using ColumnValues =
+    std::variant<std::vector<int32_t>, std::vector<int64_t>,
+                 std::vector<float>, std::vector<double>,
+                 std::vector<std::string>>;
+
+/// An empty ColumnValues of `type`.
+inline ColumnValues MakeColumnValues(DataType type) {
+  switch (type) {
+    case DataType::kInt32:
+      return std::vector<int32_t>();
+    case DataType::kInt64:
+      return std::vector<int64_t>();
+    case DataType::kFloat:
+      return std::vector<float>();
+    case DataType::kDouble:
+      return std::vector<double>();
+    case DataType::kString:
+      break;
+  }
+  return std::vector<std::string>();
+}
 
 /// Sorted list of qualifying row positions produced by scans and consumed by
 /// probes / tuple reconstruction (paper §I-A: operators pass position lists).

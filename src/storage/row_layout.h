@@ -35,6 +35,10 @@ class RowLayout {
   /// Data type stored in member slot `slot`.
   DataType slot_type(size_t slot) const { return slots_[slot].type; }
 
+  /// Byte offset of member slot `slot` inside a row, and its width.
+  size_t slot_offset(size_t slot) const { return slots_[slot].offset; }
+  size_t slot_width(size_t slot) const { return slots_[slot].width; }
+
   /// Page that holds `row`, and the byte offset of the row inside the page.
   PageId PageOf(RowId row) const { return row / rows_per_page_; }
   size_t OffsetInPage(RowId row) const {

@@ -1,5 +1,6 @@
 #include "storage/slot_synopsis.h"
 
+#include <cstring>
 #include <limits>
 
 #include "common/assert.h"
@@ -24,12 +25,21 @@ double AsDouble(const Value& v, DataType type) {
   return type == DataType::kFloat ? double(v.AsFloat()) : v.AsDouble();
 }
 
+/// Widens [*lo, *hi] over slot values of type T at `src`, `stride` apart.
+template <typename T, typename Bound>
+void Widen(const uint8_t* src, size_t stride, size_t rows, Bound* lo,
+           Bound* hi) {
+  for (size_t r = 0; r < rows; ++r, src += stride) {
+    const Bound v = Bound(ReadFixed<T>(src, sizeof(T)));
+    if (v < *lo) *lo = v;
+    if (v > *hi) *hi = v;
+  }
+}
+
 }  // namespace
 
-SlotSynopsis::SlotSynopsis(const RowLayout& layout,
-                           const std::vector<Row>& rows) {
+SlotSynopsis::SlotSynopsis(const RowLayout& layout, size_t pages) {
   const size_t slots = layout.member_count();
-  const size_t pages = layout.PageCountFor(rows.size());
   types_.resize(slots);
   mins_.resize(slots);
   maxs_.resize(slots);
@@ -48,21 +58,32 @@ SlotSynopsis::SlotSynopsis(const RowLayout& layout,
     mins_[slot].assign(pages, init_min);
     maxs_[slot].assign(pages, init_max);
   }
-  for (size_t r = 0; r < rows.size(); ++r) {
-    const size_t page = r / layout.rows_per_page();
-    const Row& row = rows[r];
-    HYTAP_ASSERT(row.size() == slots, "row arity does not match layout");
-    for (size_t slot = 0; slot < slots; ++slot) {
-      if (mins_[slot].empty()) continue;
-      if (IsIntegral(types_[slot])) {
-        const int64_t v = AsInt64(row[slot], types_[slot]);
-        if (v < mins_[slot][page].i) mins_[slot][page].i = v;
-        if (v > maxs_[slot][page].i) maxs_[slot][page].i = v;
-      } else {
-        const double v = AsDouble(row[slot], types_[slot]);
-        if (v < mins_[slot][page].d) mins_[slot][page].d = v;
-        if (v > maxs_[slot][page].d) maxs_[slot][page].d = v;
-      }
+}
+
+void SlotSynopsis::AddPage(const RowLayout& layout, size_t page,
+                           const uint8_t* image, size_t rows) {
+  const size_t stride = layout.row_width();
+  for (size_t slot = 0; slot < mins_.size(); ++slot) {
+    if (mins_[slot].empty()) continue;
+    HYTAP_ASSERT(page < mins_[slot].size(), "synopsis page out of range");
+    const uint8_t* src = image + layout.slot_offset(slot);
+    Bound& lo = mins_[slot][page];
+    Bound& hi = maxs_[slot][page];
+    switch (types_[slot]) {
+      case DataType::kInt32:
+        Widen<int32_t>(src, stride, rows, &lo.i, &hi.i);
+        break;
+      case DataType::kInt64:
+        Widen<int64_t>(src, stride, rows, &lo.i, &hi.i);
+        break;
+      case DataType::kFloat:
+        Widen<float>(src, stride, rows, &lo.d, &hi.d);
+        break;
+      case DataType::kDouble:
+        Widen<double>(src, stride, rows, &lo.d, &hi.d);
+        break;
+      case DataType::kString:
+        HYTAP_UNREACHABLE("string slots carry no synopsis");
     }
   }
 }
@@ -79,6 +100,24 @@ bool SlotSynopsis::Prunes(size_t page, size_t slot, const Value* lo,
   if (lo != nullptr && AsDouble(*lo, type) > maxs_[slot][page].d) return true;
   if (hi != nullptr && AsDouble(*hi, type) < mins_[slot][page].d) return true;
   return false;
+}
+
+bool SlotSynopsis::operator==(const SlotSynopsis& other) const {
+  auto same = [](const std::vector<std::vector<Bound>>& a,
+                 const std::vector<std::vector<Bound>>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t slot = 0; slot < a.size(); ++slot) {
+      if (a[slot].size() != b[slot].size()) return false;
+      if (!a[slot].empty() &&
+          std::memcmp(a[slot].data(), b[slot].data(),
+                      a[slot].size() * sizeof(Bound)) != 0) {
+        return false;
+      }
+    }
+    return true;
+  };
+  return types_ == other.types_ && same(mins_, other.mins_) &&
+         same(maxs_, other.maxs_);
 }
 
 size_t SlotSynopsis::MemoryUsage() const {

@@ -12,11 +12,12 @@ namespace hytap {
 
 /// Per-page min/max bounds for every numeric member slot of an SSCG.
 ///
-/// Built once from the intended row contents when the group is written
-/// (RebuildMain / merge), never from the stored bytes: the synopsis keeps
-/// describing the data that was *meant* to be on a page even if the media
-/// later corrupts it, so a pruned page is provably irrelevant to the query
-/// and skipping it can only reproduce the fault-free answer.
+/// Built once from the intended page images when the group is written (a
+/// placement change or a merge), never from bytes read back: the synopsis
+/// keeps describing the data that was *meant* to be on a page even if the
+/// media corrupts it on the write or later, so a pruned page is provably
+/// irrelevant to the query and skipping it can only reproduce the
+/// fault-free answer.
 ///
 /// Bounds are widened to the slot's native domain (int32/int64 -> int64,
 /// float/double -> double) and stored as 16 bytes per (page, slot). String
@@ -27,9 +28,14 @@ class SlotSynopsis {
  public:
   SlotSynopsis() = default;
 
-  /// Builds bounds from the rows about to be serialized (member order, as
-  /// passed to the Sscg constructor).
-  SlotSynopsis(const RowLayout& layout, const std::vector<Row>& rows);
+  /// Empty bounds for `pages` pages of `layout`'s numeric slots; AddPage
+  /// fills them.
+  SlotSynopsis(const RowLayout& layout, size_t pages);
+
+  /// Sets the bounds of page `page` from its image: `rows` rows serialized
+  /// per `layout` from the start of `image`.
+  void AddPage(const RowLayout& layout, size_t page, const uint8_t* image,
+               size_t rows);
 
   /// True if `slot` carries bounds (numeric, non-empty group).
   bool has_slot(size_t slot) const {
@@ -43,6 +49,9 @@ class SlotSynopsis {
               const Value* hi) const;
 
   size_t MemoryUsage() const;
+
+  /// Same slot types and bit-identical bounds.
+  bool operator==(const SlotSynopsis& other) const;
 
  private:
   union Bound {

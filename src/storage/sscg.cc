@@ -1,5 +1,8 @@
 #include "storage/sscg.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/assert.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
@@ -70,28 +73,132 @@ void AccountFetchError(PageId id, const Status& status, BufferManager* buffers,
 
 Sscg::Sscg(RowLayout layout, const std::vector<Row>& rows,
            SecondaryStore* store, uint64_t* out_write_ns)
-    : layout_(std::move(layout)),
-      synopsis_(layout_, rows),
-      row_count_(rows.size()) {
+    : layout_(std::move(layout)), row_count_(rows.size()) {
+  WritePages(store, [&](size_t first_row, size_t count, uint8_t* image) {
+    for (size_t i = 0; i < count; ++i) {
+      layout_.SerializeRow(rows[first_row + i],
+                           image + i * layout_.row_width());
+    }
+  });
+  if (out_write_ns != nullptr) {
+    *out_write_ns =
+        store->device().SequentialWriteNs(page_ids_.size(), /*threads=*/1);
+  }
+}
+
+Sscg::Sscg(RowLayout layout, size_t row_count,
+           const std::vector<SlotSource>& sources, SecondaryStore* store)
+    : layout_(std::move(layout)), row_count_(row_count) {
+  HYTAP_ASSERT(sources.size() == layout_.member_count(),
+               "one source per member slot");
+  for (size_t slot = 0; slot < sources.size(); ++slot) {
+    const SlotSource& source = sources[slot];
+    if (source.values != nullptr) {
+      HYTAP_ASSERT(source.values->index() == size_t(layout_.slot_type(slot)),
+                   "source values type mismatch");
+      HYTAP_ASSERT(std::visit([](const auto& v) { return v.size(); },
+                              *source.values) == row_count,
+                   "source values row count mismatch");
+    } else {
+      HYTAP_ASSERT(source.group != nullptr && source.group->row_count_ ==
+                                                  row_count,
+                   "source group row count mismatch");
+      HYTAP_ASSERT(source.group->layout_.slot_width(source.slot) ==
+                       layout_.slot_width(slot),
+                   "source slot width mismatch");
+    }
+  }
+  const size_t stride = layout_.row_width();
+  WritePages(store, [&](size_t first_row, size_t count, uint8_t* image) {
+    for (size_t slot = 0; slot < sources.size(); ++slot) {
+      const SlotSource& source = sources[slot];
+      const size_t width = layout_.slot_width(slot);
+      uint8_t* dest = image + layout_.slot_offset(slot);
+      if (source.values != nullptr) {
+        std::visit(
+            [&](const auto& values) {
+              for (size_t i = 0; i < count; ++i) {
+                WriteFixed(values[first_row + i], dest + i * stride, width);
+              }
+            },
+            *source.values);
+        continue;
+      }
+      // Copy page by page of the source group.
+      const RowLayout& from = source.group->layout_;
+      const size_t from_stride = from.row_width();
+      for (size_t i = 0; i < count;) {
+        const RowId row = first_row + i;
+        const size_t page = from.PageOf(row);
+        const size_t run =
+            std::min(count - i, (page + 1) * from.rows_per_page() - row);
+        const uint8_t* src =
+            store->RawPage(source.group->page_ids_[page]).data() +
+            from.OffsetInPage(row) + from.slot_offset(source.slot);
+        for (size_t k = 0; k < run; ++k) {
+          std::memcpy(dest + (i + k) * stride, src + k * from_stride, width);
+        }
+        i += run;
+      }
+    }
+  });
+}
+
+void Sscg::WritePages(
+    SecondaryStore* store,
+    const std::function<void(size_t, size_t, uint8_t*)>& fill) {
   HYTAP_ASSERT(store != nullptr, "SSCG requires a store");
-  const size_t pages = layout_.PageCountFor(rows.size());
+  const size_t pages = layout_.PageCountFor(row_count_);
+  synopsis_ = SlotSynopsis(layout_, pages);
   page_ids_.reserve(pages);
   SecondaryStore::Page page;
   for (size_t p = 0; p < pages; ++p) {
     page.fill(0);
     const size_t first_row = p * layout_.rows_per_page();
-    const size_t last_row =
-        std::min(rows.size(), first_row + layout_.rows_per_page());
-    for (size_t r = first_row; r < last_row; ++r) {
-      layout_.SerializeRow(rows[r], page.data() + layout_.OffsetInPage(r));
-    }
+    const size_t count =
+        std::min(row_count_, first_row + layout_.rows_per_page()) - first_row;
+    fill(first_row, count, page.data());
+    synopsis_.AddPage(layout_, p, page.data(), count);
     const PageId id = store->AllocatePage();
     store->WritePage(id, page);
     page_ids_.push_back(id);
   }
-  if (out_write_ns != nullptr) {
-    *out_write_ns = store->device().SequentialWriteNs(pages, /*threads=*/1);
-  }
+}
+
+ColumnValues Sscg::DecodeSlot(size_t slot, const SecondaryStore& store,
+                              const std::vector<RowId>* rows) const {
+  HYTAP_ASSERT(slot < layout_.member_count(), "slot out of range");
+  ColumnValues out = MakeColumnValues(layout_.slot_type(slot));
+  const size_t offset = layout_.slot_offset(slot);
+  const size_t width = layout_.slot_width(slot);
+  std::visit(
+      [&](auto& values) {
+        using T = typename std::decay_t<decltype(values)>::value_type;
+        const uint8_t* page = nullptr;
+        size_t page_index = 0;
+        auto read = [&](RowId row) {
+          HYTAP_ASSERT(row < row_count_, "SSCG row out of range");
+          if (page == nullptr || layout_.PageOf(row) != page_index) {
+            page_index = layout_.PageOf(row);
+            page = store.RawPage(page_ids_[page_index]).data();
+          }
+          values.push_back(
+              ReadFixed<T>(page + layout_.OffsetInPage(row) + offset, width));
+        };
+        if (rows == nullptr) {
+          values.reserve(row_count_);
+          for (RowId row = 0; row < row_count_; ++row) read(row);
+        } else {
+          values.reserve(rows->size());
+          for (RowId row : *rows) read(row);
+        }
+      },
+      out);
+  return out;
+}
+
+void Sscg::ReleasePages(SecondaryStore* store) const {
+  for (PageId id : page_ids_) store->ReleasePage(id);
 }
 
 StatusOr<const SecondaryStore::Page*> Sscg::FetchRowPage(
@@ -215,14 +322,6 @@ Status Sscg::AccountTupleFetch(RowId row, BufferManager* buffers,
                                uint32_t queue_depth, IoStats* io) const {
   return FetchRowPage(row, buffers, AccessPattern::kRandom, queue_depth, io)
       .status();
-}
-
-Value Sscg::RawValue(RowId row, size_t slot,
-                     const SecondaryStore& store) const {
-  HYTAP_ASSERT(row < row_count_, "SSCG row out of range");
-  const SecondaryStore::Page& page = store.RawPage(page_ids_[layout_.PageOf(row)]);
-  return layout_.DeserializeSlot(page.data() + layout_.OffsetInPage(row),
-                                 slot);
 }
 
 Row Sscg::RawRow(RowId row, const SecondaryStore& store) const {

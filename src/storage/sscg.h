@@ -2,6 +2,7 @@
 #define HYTAP_STORAGE_SSCG_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -85,6 +86,22 @@ class Sscg {
   Sscg(RowLayout layout, const std::vector<Row>& rows, SecondaryStore* store,
        uint64_t* out_write_ns = nullptr);
 
+  /// Where a column-wise write takes one member slot's values from: a typed
+  /// vector with one value per row (`values`), or slot `slot` of an existing
+  /// group over the same rows (`group`), whose bytes are copied raw.
+  struct SlotSource {
+    const ColumnValues* values = nullptr;
+    const Sscg* group = nullptr;
+    size_t slot = 0;
+  };
+
+  /// Column-wise write of `row_count` rows: member slot s of `layout` takes
+  /// its values from `sources[s]`. Source groups are read raw from `store`,
+  /// so callers verify their pages first. Writes the same pages, page ids
+  /// and synopsis as the row-wise constructor over the same values.
+  Sscg(RowLayout layout, size_t row_count,
+       const std::vector<SlotSource>& sources, SecondaryStore* store);
+
   const RowLayout& layout() const { return layout_; }
   size_t row_count() const { return row_count_; }
   size_t page_count() const { return page_ids_.size(); }
@@ -140,17 +157,32 @@ class Sscg {
 
   /// Timing-free raw access for migration/verification: reads directly from
   /// the backing store, bypassing the buffer manager and device model.
-  Value RawValue(RowId row, size_t slot, const SecondaryStore& store) const;
   Row RawRow(RowId row, const SecondaryStore& store) const;
+
+  /// Timing-free raw decode of member slot `slot` into a typed vector: the
+  /// rows listed in `rows` (ascending), or every row if `rows` is null.
+  ColumnValues DecodeSlot(size_t slot, const SecondaryStore& store,
+                          const std::vector<RowId>* rows = nullptr) const;
 
   /// Store page ids backing this group (migration verify-after-write).
   const std::vector<PageId>& page_ids() const { return page_ids_; }
 
+  /// Frees the group's pages in `store` once it is replaced or dropped.
+  void ReleasePages(SecondaryStore* store) const;
+
   /// Per-page min/max bounds of the numeric member slots, built from the
-  /// intended row contents at construction (RebuildMain / merge) time.
+  /// intended page images when the group is written.
   const SlotSynopsis& synopsis() const { return synopsis_; }
 
  private:
+  /// Allocates and writes the group's pages in ascending order, one
+  /// WritePage per page: `fill(first_row, rows, image)` serializes rows
+  /// [first_row, first_row + rows) into the zeroed page image, from which
+  /// the page's synopsis is taken before the write.
+  void WritePages(
+      SecondaryStore* store,
+      const std::function<void(size_t, size_t, uint8_t*)>& fill);
+
   StatusOr<const SecondaryStore::Page*> FetchRowPage(RowId row,
                                                      BufferManager* buffers,
                                                      AccessPattern pattern,

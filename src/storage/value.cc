@@ -1,7 +1,5 @@
 #include "storage/value.h"
 
-#include <cstring>
-
 #include "common/assert.h"
 
 namespace hytap {
@@ -72,71 +70,30 @@ std::string Value::ToString() const {
 }
 
 void Value::SerializeFixed(uint8_t* dest, size_t width) const {
-  switch (type()) {
-    case DataType::kInt32: {
-      int32_t v = AsInt32();
-      HYTAP_ASSERT(width == sizeof(v), "width mismatch for int32");
-      std::memcpy(dest, &v, sizeof(v));
-      return;
-    }
-    case DataType::kInt64: {
-      int64_t v = AsInt64();
-      HYTAP_ASSERT(width == sizeof(v), "width mismatch for int64");
-      std::memcpy(dest, &v, sizeof(v));
-      return;
-    }
-    case DataType::kFloat: {
-      float v = AsFloat();
-      HYTAP_ASSERT(width == sizeof(v), "width mismatch for float");
-      std::memcpy(dest, &v, sizeof(v));
-      return;
-    }
-    case DataType::kDouble: {
-      double v = AsDouble();
-      HYTAP_ASSERT(width == sizeof(v), "width mismatch for double");
-      std::memcpy(dest, &v, sizeof(v));
-      return;
-    }
-    case DataType::kString: {
-      const std::string& v = AsString();
-      size_t n = v.size() < width ? v.size() : width;
-      std::memcpy(dest, v.data(), n);
-      if (n < width) std::memset(dest + n, 0, width - n);
-      return;
-    }
-  }
-  HYTAP_UNREACHABLE("invalid DataType");
+  std::visit(
+      [&](const auto& v) {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (!std::is_same_v<T, std::string>) {
+          HYTAP_ASSERT(width == sizeof(T), "width mismatch for numeric value");
+        }
+        WriteFixed(v, dest, width);
+      },
+      data_);
 }
 
 Value Value::DeserializeFixed(const uint8_t* src, DataType type,
                               size_t width) {
   switch (type) {
-    case DataType::kInt32: {
-      int32_t v;
-      std::memcpy(&v, src, sizeof(v));
-      return Value(v);
-    }
-    case DataType::kInt64: {
-      int64_t v;
-      std::memcpy(&v, src, sizeof(v));
-      return Value(v);
-    }
-    case DataType::kFloat: {
-      float v;
-      std::memcpy(&v, src, sizeof(v));
-      return Value(v);
-    }
-    case DataType::kDouble: {
-      double v;
-      std::memcpy(&v, src, sizeof(v));
-      return Value(v);
-    }
-    case DataType::kString: {
-      // Stored zero-padded; trim trailing NULs.
-      size_t len = width;
-      while (len > 0 && src[len - 1] == 0) --len;
-      return Value(std::string(reinterpret_cast<const char*>(src), len));
-    }
+    case DataType::kInt32:
+      return Value(ReadFixed<int32_t>(src, width));
+    case DataType::kInt64:
+      return Value(ReadFixed<int64_t>(src, width));
+    case DataType::kFloat:
+      return Value(ReadFixed<float>(src, width));
+    case DataType::kDouble:
+      return Value(ReadFixed<double>(src, width));
+    case DataType::kString:
+      return Value(ReadFixed<std::string>(src, width));
   }
   HYTAP_UNREACHABLE("invalid DataType");
 }

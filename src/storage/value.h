@@ -2,7 +2,9 @@
 #define HYTAP_STORAGE_VALUE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -46,6 +48,12 @@ class Value {
   double AsDouble() const { return std::get<double>(data_); }
   const std::string& AsString() const { return std::get<std::string>(data_); }
 
+  /// Typed access by C++ type (T must be the value's type).
+  template <typename T>
+  const T& As() const {
+    return std::get<T>(data_);
+  }
+
   /// Three-way comparison; both values must have the same type.
   int Compare(const Value& other) const;
 
@@ -72,6 +80,44 @@ class Value {
 
 /// A full or partial tuple.
 using Row = std::vector<Value>;
+
+/// Typed twins of Value::SerializeFixed / DeserializeFixed, writing and
+/// reading the same bytes: numbers in their native width, strings
+/// zero-padded to `width` and trimmed of trailing NULs. The SSCG's
+/// column-wise writes and slot decodes use them without boxing.
+template <typename T>
+void WriteFixed(const T& v, uint8_t* dest, size_t width) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    const size_t n = v.size() < width ? v.size() : width;
+    std::memcpy(dest, v.data(), n);
+    if (n < width) std::memset(dest + n, 0, width - n);
+  } else {
+    (void)width;
+    std::memcpy(dest, &v, sizeof(T));
+  }
+}
+
+template <typename T>
+T ReadFixed(const uint8_t* src, size_t width) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    size_t len = width;
+    while (len > 0 && src[len - 1] == 0) --len;
+    return std::string(reinterpret_cast<const char*>(src), len);
+  } else {
+    (void)width;
+    T v;
+    std::memcpy(&v, src, sizeof(T));
+    return v;
+  }
+}
+
+/// True if `s` survives a fixed-width round trip at `width` bytes: it is no
+/// longer than `width` and does not end in a NUL byte (which the read would
+/// trim). Tables reject strings that fail this, so moving a column between
+/// DRAM and the SSCG never changes a value.
+inline bool FitsFixedWidth(const std::string& s, size_t width) {
+  return s.size() <= width && (s.empty() || s.back() != '\0');
+}
 
 }  // namespace hytap
 

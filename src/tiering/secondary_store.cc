@@ -148,9 +148,18 @@ PageId SecondaryStore::AllocatePage() {
   return static_cast<PageId>(pages_.size() - 1);
 }
 
+void SecondaryStore::ReleasePage(PageId id) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  HYTAP_ASSERT(id < pages_.size() && pages_[id] != nullptr,
+               "ReleasePage: page id out of range or already released");
+  pages_[id].reset();
+  ++released_pages_;
+}
+
 void SecondaryStore::WritePage(PageId id, const Page& data) {
   std::lock_guard<std::mutex> lock(mutex_);
-  HYTAP_ASSERT(id < pages_.size(), "WritePage: page id out of range");
+  HYTAP_ASSERT(id < pages_.size() && pages_[id] != nullptr,
+               "WritePage: page id out of range or released");
   // The checksum always covers the *intended* payload; a corrupted write
   // leaves the media and the checksum disagreeing, which is exactly how
   // silent corruption is detected on read-back.
@@ -181,7 +190,8 @@ StatusOr<SecondaryStore::ReadOutcome> SecondaryStore::ReadPage(
     PageId id, Page* dest, AccessPattern pattern, uint32_t queue_depth,
     ReadStream* stream, ReadFaultReport* report) {
   std::lock_guard<std::mutex> lock(mutex_);
-  HYTAP_ASSERT(id < pages_.size(), "ReadPage: page id out of range");
+  HYTAP_ASSERT(id < pages_.size() && pages_[id] != nullptr,
+               "ReadPage: page id out of range or released");
   ++reads_;
   StoreMetrics& metrics = StoreMetrics::Get();
   metrics.reads->Add();
@@ -341,7 +351,8 @@ StatusOr<SecondaryStore::ReadOutcome> SecondaryStore::ReadPage(
 }
 
 Status SecondaryStore::VerifyPage(PageId id) const {
-  HYTAP_ASSERT(id < pages_.size(), "VerifyPage: page id out of range");
+  HYTAP_ASSERT(id < pages_.size() && pages_[id] != nullptr,
+               "VerifyPage: page id out of range or released");
   if (Crc32c(pages_[id]->data(), kPageSize) != checksums_[id]) {
     // PR 7 closed its eyes here: read-back failures aborted the migration
     // but never counted anywhere. Every VerifyPage failure now lands in
@@ -368,7 +379,8 @@ Status SecondaryStore::VerifyPage(PageId id) const {
 }
 
 const SecondaryStore::Page& SecondaryStore::RawPage(PageId id) const {
-  HYTAP_ASSERT(id < pages_.size(), "RawPage: page id out of range");
+  HYTAP_ASSERT(id < pages_.size() && pages_[id] != nullptr,
+               "RawPage: page id out of range or released");
   return *pages_[id];
 }
 

@@ -109,6 +109,11 @@ class SecondaryStore {
   /// Allocates a zeroed page; returns its id.
   PageId AllocatePage();
 
+  /// Frees the payload of page `id` (a replaced SSCG's pages). Ids are never
+  /// reused, so page ids stay a pure function of the allocation sequence;
+  /// any later access to a released page is an invariant violation.
+  void ReleasePage(PageId id);
+
   /// Writes a full page and records its checksum. The write may be silently
   /// corrupted by the fault injector (torn half-page / bit flips) — that is
   /// the point: corruption is only *detected* by ReadPage / VerifyPage.
@@ -166,7 +171,13 @@ class SecondaryStore {
   void set_max_read_retries(uint32_t retries) { max_read_retries_ = retries; }
   uint32_t max_read_retries() const { return max_read_retries_; }
 
+  /// Page ids allocated so far (released ones included).
   size_t page_count() const { return pages_.size(); }
+  /// Pages currently holding a payload (allocated minus released).
+  size_t resident_page_count() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return pages_.size() - released_pages_;
+  }
   uint64_t total_read_ns() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return total_read_ns_;
@@ -195,7 +206,8 @@ class SecondaryStore {
   FaultConfig fault_config_;
   Rng timing_rng_;
   std::unique_ptr<FaultInjector> injector_;  // null = fault-free
-  std::vector<std::unique_ptr<Page>> pages_;
+  std::vector<std::unique_ptr<Page>> pages_;  // null = released
+  size_t released_pages_ = 0;
   std::vector<uint32_t> checksums_;
   /// Media verified since its last write (fault-free reads skip the CRC).
   std::vector<bool> verified_;

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "storage/sscg.h"
+#include "storage/table.h"
 
 namespace hytap {
 namespace {
@@ -24,6 +25,77 @@ TEST(SecondaryStoreTest, AllocateWriteRead) {
   // Page a stays zeroed.
   ASSERT_TRUE(store.ReadPage(a, &dest, AccessPattern::kRandom).ok());
   EXPECT_EQ(dest[0], 0);
+}
+
+TEST(SecondaryStoreTest, ReleasedPagesKeepTheirIds) {
+  SecondaryStore store(DeviceKind::kXpoint);
+  const PageId a = store.AllocatePage();
+  const PageId b = store.AllocatePage();
+  store.ReleasePage(a);
+  EXPECT_EQ(store.page_count(), 2u);
+  EXPECT_EQ(store.resident_page_count(), 1u);
+  // Ids are never reused.
+  EXPECT_EQ(store.AllocatePage(), b + 1);
+  EXPECT_EQ(store.resident_page_count(), 2u);
+  EXPECT_TRUE(store.VerifyPage(b).ok());
+}
+
+TEST(SecondaryStoreDeathTest, ReleasedPageCannotBeRead) {
+  SecondaryStore store(DeviceKind::kXpoint);
+  const PageId id = store.AllocatePage();
+  store.ReleasePage(id);
+  EXPECT_DEATH(store.RawPage(id), "released");
+  SecondaryStore::Page dest;
+  EXPECT_DEATH((void)store.ReadPage(id, &dest, AccessPattern::kRandom),
+               "released");
+}
+
+TEST(SecondaryStoreTest, ReplacedGroupsReleaseTheirPages) {
+  Schema schema;
+  for (int c = 0; c < 8; ++c) {
+    schema.push_back({"c" + std::to_string(c), DataType::kInt32, 0});
+  }
+  std::vector<Row> rows;
+  for (int r = 0; r < 2000; ++r) {
+    Row& row = rows.emplace_back();
+    for (int c = 0; c < 8; ++c) row.emplace_back(int32_t((r * (c + 3)) % 101));
+  }
+  TransactionManager txns;
+  SecondaryStore store(DeviceKind::kXpoint);
+  BufferManager buffers(&store, 8);
+  Table table("t", schema, &txns, &store, &buffers);
+  table.BulkLoad(rows);
+  auto live_pages = [&] {
+    return table.sscg() == nullptr ? size_t{0} : table.sscg()->page_count();
+  };
+  std::vector<bool> placement = {true, true, true, true,
+                                 false, false, false, false};
+  ASSERT_TRUE(table.SetPlacement(placement).ok());
+  // 100 one-column steps: only the live group's pages stay resident.
+  for (int step = 0; step < 100; ++step) {
+    const size_t c = size_t(step % 7) + 1;
+    placement[c] = !placement[c];
+    ASSERT_TRUE(table.SetPlacement(placement).ok());
+    ASSERT_EQ(store.resident_page_count(), live_pages()) << "step " << step;
+  }
+  // Every step wrote a fresh group under fresh page ids.
+  EXPECT_GT(store.page_count(), 100 + live_pages());
+  // A merge replaces the group too.
+  Transaction txn = txns.Begin();
+  ASSERT_TRUE(table.Insert(txn, rows[5]).ok());
+  txns.Commit(&txn);
+  ASSERT_TRUE(table.MergeDelta().ok());
+  EXPECT_GT(live_pages(), 0u);
+  EXPECT_EQ(store.resident_page_count(), live_pages());
+  // An aborted eviction releases both the old and the rejected group.
+  FaultConfig corrupt;
+  corrupt.seed = 3;
+  corrupt.write_corruption_rate = 1.0;
+  store.ConfigureFaults(corrupt);
+  placement[1] = !placement[1];
+  EXPECT_EQ(table.SetPlacement(placement).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(table.sscg(), nullptr);
+  EXPECT_EQ(store.resident_page_count(), 0u);
 }
 
 TEST(SecondaryStoreTest, TimingAccrues) {

@@ -157,10 +157,16 @@ TEST_F(SscgTest, RawAccessMatchesTimedAccess) {
     rows.push_back(Row{Value(int32_t(r)), Value(double(r))});
   }
   Sscg sscg(layout, rows, &store_);
+  const auto ids = std::get<std::vector<int32_t>>(sscg.DecodeSlot(0, store_));
+  ASSERT_EQ(ids.size(), 100u);
   for (RowId r = 0; r < 100; r += 13) {
-    EXPECT_EQ(sscg.RawValue(r, 0, store_), Value(int32_t(r)));
+    EXPECT_EQ(ids[r], int32_t(r));
     EXPECT_EQ(sscg.RawRow(r, store_), rows[r]);
   }
+  const std::vector<RowId> picked = {3, 40, 41, 99};
+  const ColumnValues some = sscg.DecodeSlot(1, store_, &picked);
+  EXPECT_EQ(std::get<std::vector<double>>(some),
+            (std::vector<double>{3.0, 40.0, 41.0, 99.0}));
 }
 
 TEST_F(SscgTest, WallTimeDividesAcrossThreads) {
