@@ -59,6 +59,31 @@ TEST(OrderPreservingDictionaryTest, Strings) {
   EXPECT_EQ(dict.CodeFor("fig"), ValueId{1});
 }
 
+TEST(OrderPreservingDictionaryTest, BuildReturnsEveryValuesCode) {
+  Rng rng(5);
+  std::vector<int32_t> numbers;
+  std::vector<std::string> strings;
+  for (int i = 0; i < 2000; ++i) {
+    numbers.push_back(int32_t(rng.NextInt(-300, 300)));
+    strings.push_back("v" + std::to_string(rng.NextBounded(150)));
+  }
+  std::vector<ValueId> codes;
+  const auto number_dict =
+      OrderPreservingDictionary<int32_t>::Build(numbers, &codes);
+  ASSERT_EQ(codes.size(), numbers.size());
+  for (size_t i = 0; i < numbers.size(); ++i) {
+    ASSERT_EQ(number_dict.CodeFor(numbers[i]), codes[i]) << "row " << i;
+  }
+  const auto string_dict =
+      OrderPreservingDictionary<std::string>::Build(strings, &codes);
+  ASSERT_EQ(codes.size(), strings.size());
+  for (size_t i = 0; i < strings.size(); ++i) {
+    ASSERT_EQ(string_dict.CodeFor(strings[i]), codes[i]) << "row " << i;
+  }
+  OrderPreservingDictionary<int32_t>::Build({}, &codes);
+  EXPECT_TRUE(codes.empty());
+}
+
 TEST(OrderPreservingDictionaryTest, EmptyDictionary) {
   auto dict = OrderPreservingDictionary<int32_t>::Build({});
   EXPECT_TRUE(dict.empty());
