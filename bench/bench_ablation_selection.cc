@@ -196,6 +196,5 @@ int main() {
   AblateBeta();
   AblateProbeThreshold();
   AblateSecondaryFormat();
-  bench::MaybeWriteMetricsSnapshot("ablation_selection");
   return 0;
 }

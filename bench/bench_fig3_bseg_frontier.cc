@@ -72,6 +72,5 @@ int main() {
   std::printf("continuous solutions on the integer frontier: %zu / %zu "
               "budget points\n",
               frontier_matches, points);
-  bench::MaybeWriteMetricsSnapshot("fig3_bseg_frontier");
   return 0;
 }

@@ -64,6 +64,5 @@ int main() {
                       .scan_cost / integer,
               SelectHeuristic(problem, HeuristicKind::kH3SelectivityPerFreq)
                       .scan_cost / integer);
-  bench::MaybeWriteMetricsSnapshot("fig4_example1_heuristics");
   return 0;
 }

@@ -73,6 +73,5 @@ int main() {
               "(diminishing marginal DRAM utility); models that ignore "
               "selection interaction pick measurably worse allocations, and "
               "single-metric heuristics trail the optimum everywhere.\n");
-  bench::MaybeWriteMetricsSnapshot("fig5_scenarios");
   return 0;
 }

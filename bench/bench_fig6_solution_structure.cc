@@ -99,6 +99,5 @@ int main() {
   std::printf("mean cost vs integer optimum: (b) %.3fx, (c) %.3fx "
               "(filling closes the gap)\n",
               cost_gap_b / budgets.size(), cost_gap_c / budgets.size());
-  bench::MaybeWriteMetricsSnapshot("fig6_solution_structure");
   return 0;
 }

@@ -72,6 +72,5 @@ int main(int argc, char** argv) {
   std::printf("-> on 3D XPoint, SSCG-placed tuples outperform the fully "
               "DRAM-resident dictionary-encoded baseline once >= 50%% of "
               "attributes are in the SSCG (paper Fig. 7).\n");
-  bench::MaybeWriteMetricsSnapshot("fig7_tuple_reconstruction");
   return 0;
 }

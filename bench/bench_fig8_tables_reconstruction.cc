@@ -94,6 +94,5 @@ int main(int argc, char** argv) {
               "tuples reconstruct from one page and beat the DRAM baseline "
               "on fast devices; narrow ORDERLINE tuples pay the device "
               "latency (paper Fig. 8).\n");
-  bench::MaybeWriteMetricsSnapshot("fig8_tables_reconstruction");
   return 0;
 }

@@ -120,6 +120,5 @@ int main(int argc, char** argv) {
   std::printf("\n-> scan cost scales with SSCG width; HDD collapses under "
               "concurrent streams; SSD probing needs queue depth "
               "(paper Fig. 9).\n");
-  bench::MaybeWriteMetricsSnapshot("fig9_scan_probe");
   return 0;
 }

@@ -372,7 +372,6 @@ int main(int argc, char** argv) {
               phases_ok ? "PASS" : "MISS");
 
   WriteJson("BENCH_observability_overhead.json");
-  bench::MaybeWriteMetricsSnapshot("observability_overhead");
   return metrics_ok && trace_ok && monitor_ok && flight_ok && phases_ok
              ? 0
              : 1;

@@ -163,6 +163,5 @@ int main(int argc, char** argv) {
   std::printf("\npool: %zu helper threads (override with HYTAP_THREADS)\n",
               ThreadPool::Global().helper_count());
   WriteJson("BENCH_parallel_scaling.json");
-  bench::MaybeWriteMetricsSnapshot("parallel_scaling");
   return 0;
 }

@@ -1,48 +1,28 @@
-// bench_serving: the high-concurrency serving front end under mixed HTAP
-// load (DESIGN.md §15).
+// bench_serving: inter-query parallelism of the serving front end
+// (DESIGN.md §15).
 //
 // Usage: bench_serving [--small]
 //
-// Open-loop driver over mixed traffic — TPC-C delivery probes (OLTP class)
+// A saturated burst of mixed traffic — TPC-C delivery probes (OLTP class)
 // against an orderline table and BSEG aggregate scans (OLAP class) against
-// an enterprise table — with four self-gating sections:
-//   1. Latency under load — Poisson arrivals at ~75 % utilization, four
-//      sessions per table; reports per-class throughput and p50/p99/p999
-//      end-to-end latency (queueing + execution).
-//   2. Inter-query parallelism — a saturated burst executed with four
-//      concurrent sessions vs a 1-session submit-and-await serial baseline;
-//      gate: speedup >= 2x (enforced on hosts with >= 4 cores, report-only
-//      on smaller hosts — the sessions are real OS threads).
-//   3. Admission control — a flood against a tiny bounded queue with
-//      expired deadlines and explicit cancels mixed in; gate: every
-//      submission is accounted for exactly once (admitted == completed +
-//      shed + cancelled, rejected + admitted == submitted) and the manager
-//      drains to zero queued / zero in-flight — no admission-queue leaks.
-//   4. Serial-replay equivalence — fault injection armed, interleaved OLTP
-//      writes; gate: per-ticket results of the concurrent run (1/2/4
-//      session workers) are bit-identical to a serial submit-and-await
-//      replay, including simulated IO and the injected fault schedule.
-//
-// Writes BENCH_serving.json and a Prometheus snapshot of the
-// hytap_session_* families (serving_metrics.txt).
+// an enterprise table — executed with four concurrent sessions vs a
+// 1-session submit-and-await serial baseline. Gate: speedup >= 2x
+// (enforced on hosts with >= 4 cores, report-only on smaller hosts — the
+// sessions are real OS threads). Latency under open-loop load is measured
+// by perfbench's htap_serve workload; admission accounting and serial-replay
+// equivalence are checked by session_test.
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <sstream>
-#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/metrics.h"
 #include "common/random.h"
-#include "common/trace.h"
 #include "core/tiered_table.h"
 #include "serving/session_manager.h"
 #include "workload/enterprise.h"
@@ -58,10 +38,7 @@ struct Config {
   int ol_orders = 40;
   size_t bseg_rows = 6000;
   size_t bseg_cols = 16;
-  size_t latency_queries = 400;
   size_t burst_queries = 160;
-  size_t flood_queries = 200;
-  size_t equivalence_queries = 24;
   size_t max_sessions = 4;
   uint64_t seed = 42;
 };
@@ -70,15 +47,11 @@ Config SmallConfig() {
   Config c;
   c.ol_orders = 20;
   c.bseg_rows = 3000;
-  c.latency_queries = 160;
   c.burst_queries = 96;
-  c.flood_queries = 120;
-  c.equivalence_queries = 16;
   return c;
 }
 
-std::unique_ptr<TieredTable> MakeOrderlineTable(const Config& config,
-                                                bool evict) {
+std::unique_ptr<TieredTable> MakeOrderlineTable(const Config& config) {
   OrderlineParams params;
   params.warehouses = config.ol_warehouses;
   params.districts_per_warehouse = config.ol_districts;
@@ -89,17 +62,10 @@ std::unique_ptr<TieredTable> MakeOrderlineTable(const Config& config,
   auto table = std::make_unique<TieredTable>("orderline", OrderlineSchema(),
                                              options);
   table->Load(GenerateOrderlineRows(params));
-  if (evict) {
-    std::vector<bool> placement(10, true);
-    for (ColumnId c : {kOlDeliveryD, kOlQuantity, kOlAmount, kOlDistInfo}) {
-      placement[c] = false;
-    }
-    if (!table->ApplyPlacement(placement).ok()) std::abort();
-  }
   return table;
 }
 
-std::unique_ptr<TieredTable> MakeBsegTable(const Config& config, bool evict) {
+std::unique_ptr<TieredTable> MakeBsegTable(const Config& config) {
   EnterpriseProfile profile = BsegProfile();
   profile.attribute_count = config.bseg_cols;
   TieredTableOptions options;
@@ -108,13 +74,6 @@ std::unique_ptr<TieredTable> MakeBsegTable(const Config& config, bool evict) {
   auto table = std::make_unique<TieredTable>(
       "bseg", MakeEnterpriseSchema(profile), options);
   table->Load(GenerateEnterpriseRows(profile, config.bseg_rows, config.seed));
-  if (evict) {
-    std::vector<bool> placement(config.bseg_cols, true);
-    for (size_t c = config.bseg_cols / 2; c < config.bseg_cols; ++c) {
-      placement[c] = false;
-    }
-    if (!table->ApplyPlacement(placement).ok()) std::abort();
-  }
   return table;
 }
 
@@ -138,180 +97,6 @@ Query OlapQuery(const Config& config, Rng& rng) {
   return q;
 }
 
-bool WriteFile(const std::string& path, const std::string& content) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fputs(content.c_str(), f);
-  std::fclose(f);
-  return true;
-}
-
-double PercentileMs(std::vector<uint64_t>& ns, double q) {
-  if (ns.empty()) return 0.0;
-  std::sort(ns.begin(), ns.end());
-  const size_t idx =
-      std::min(ns.size() - 1, size_t(q * double(ns.size())));
-  return double(ns[idx]) / 1e6;
-}
-
-/// Serializes every externally observable part of a QueryResult, including
-/// the injected-fault counters — the equivalence gate compares these
-/// strings per ticket.
-std::string Fingerprint(const QueryResult& r) {
-  std::ostringstream out;
-  out << r.status.ToString() << "|p:";
-  for (RowId p : r.positions) out << p << ",";
-  out << "|r:";
-  for (const Row& row : r.rows) {
-    for (const Value& v : row) out << v.ToString() << ",";
-    out << ";";
-  }
-  out << "|a:";
-  for (const Value& v : r.aggregate_values) out << v.ToString() << ",";
-  out << "|io:" << r.io.device_ns << "/" << r.io.dram_ns << "/"
-      << r.io.page_reads << "/" << r.io.cache_hits << "/" << r.io.retries
-      << "/" << r.io.checksum_failures << "/" << r.io.quarantined_pages;
-  return out.str();
-}
-
-// --- Section 1: latency under open-loop Poisson load ---------------------
-
-struct ClassStats {
-  size_t completed = 0;
-  double throughput_qps = 0;
-  double p50_ms = 0, p99_ms = 0, p999_ms = 0;
-};
-
-struct LatencyResult {
-  ClassStats oltp;
-  ClassStats olap;
-  double wall_s = 0;
-};
-
-LatencyResult RunLatencySection(const Config& config) {
-  auto orderline = MakeOrderlineTable(config, /*evict=*/true);
-  auto bseg = MakeBsegTable(config, /*evict=*/true);
-  SessionOptions so;
-  so.max_sessions = config.max_sessions;
-  so.queue_capacity = config.latency_queries;  // no rejections here
-  SessionManager& oltp_mgr = orderline->EnableServing(so);
-  SessionManager& olap_mgr = bseg->EnableServing(so);
-
-  // Build the arrival schedule: 70 % OLTP, Poisson arrivals paced at
-  // roughly 75 % utilization of the measured serial service rate.
-  Rng rng(config.seed);
-  struct Arrival {
-    bool oltp;
-    Query query;
-    uint64_t at_ns;
-  };
-  // Calibrate mean service time with a few unrecorded serial queries.
-  uint64_t calib_ns = 0;
-  {
-    Rng crng(config.seed + 1);
-    const auto start = std::chrono::steady_clock::now();
-    constexpr size_t kCalib = 16;
-    for (size_t i = 0; i < kCalib; ++i) {
-      if (i % 3 != 0) {
-        Transaction txn = orderline->Begin();
-        orderline->ExecuteUnrecorded(txn, OltpQuery(config, crng));
-      } else {
-        Transaction txn = bseg->Begin();
-        bseg->ExecuteUnrecorded(txn, OlapQuery(config, crng));
-      }
-    }
-    calib_ns = uint64_t(std::chrono::duration<double, std::nano>(
-                            std::chrono::steady_clock::now() - start)
-                            .count()) /
-               kCalib;
-  }
-  const double mean_gap_ns =
-      double(calib_ns) / (double(config.max_sessions) * 0.75);
-  std::vector<Arrival> schedule;
-  schedule.reserve(config.latency_queries);
-  uint64_t at = 0;
-  for (size_t i = 0; i < config.latency_queries; ++i) {
-    const bool oltp = rng.NextDouble() < 0.7;
-    Query q = oltp ? OltpQuery(config, rng) : OlapQuery(config, rng);
-    at += uint64_t(-std::log(1.0 - rng.NextDouble()) * mean_gap_ns);
-    schedule.push_back(Arrival{oltp, std::move(q), at});
-  }
-
-  // Open-loop submit; per-class awaiter pools timestamp completions. Within
-  // a class (no deadlines) dispatch follows ticket order, so a pool of
-  // max_sessions awaiters always has a thread parked on every executing
-  // query and completion timestamps are exact.
-  struct Pending {
-    SessionHandle handle;
-    uint64_t arrival_ns;
-  };
-  std::vector<Pending> pending[2];
-  for (auto& p : pending) p.reserve(schedule.size());
-  std::vector<uint64_t> latencies[2];
-  for (auto& l : latencies) l.resize(schedule.size(), 0);
-  std::atomic<size_t> next_await[2] = {{0}, {0}};
-  std::atomic<size_t> completed[2] = {{0}, {0}};
-  std::atomic<bool> submitting{true};
-
-  const uint64_t t0 = SessionManager::NowNs();
-  std::vector<std::thread> awaiters;
-  for (int cls = 0; cls < 2; ++cls) {
-    for (size_t w = 0; w < config.max_sessions; ++w) {
-      awaiters.emplace_back([&, cls] {
-        for (;;) {
-          const size_t i = next_await[cls].fetch_add(1);
-          // Wait for the submitter to publish entry i (or finish).
-          while (i >= pending[cls].size() &&
-                 submitting.load(std::memory_order_acquire)) {
-            std::this_thread::yield();
-          }
-          if (i >= pending[cls].size()) return;
-          QueryResult r = pending[cls][i].handle->Await();
-          const uint64_t done = SessionManager::NowNs();
-          if (r.status.ok()) {
-            latencies[cls][completed[cls].fetch_add(1)] =
-                done - pending[cls][i].arrival_ns;
-          }
-        }
-      });
-    }
-  }
-  for (const Arrival& a : schedule) {
-    const uint64_t now = SessionManager::NowNs();
-    if (t0 + a.at_ns > now) {
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(t0 + a.at_ns - now));
-    }
-    SubmitOptions opts;
-    opts.query_class = a.oltp ? QueryClass::kOltp : QueryClass::kOlap;
-    auto s = a.oltp ? oltp_mgr.Submit(a.query, opts)
-                    : olap_mgr.Submit(a.query, opts);
-    if (!s.ok()) continue;  // capacity == n, should not happen
-    const int cls = a.oltp ? 0 : 1;
-    pending[cls].push_back(Pending{*s, SessionManager::NowNs()});
-  }
-  submitting.store(false, std::memory_order_release);
-  for (std::thread& t : awaiters) t.join();
-  oltp_mgr.Drain();
-  olap_mgr.Drain();
-  const double wall_s = double(SessionManager::NowNs() - t0) / 1e9;
-
-  LatencyResult out;
-  out.wall_s = wall_s;
-  for (int cls = 0; cls < 2; ++cls) {
-    ClassStats& st = cls == 0 ? out.oltp : out.olap;
-    st.completed = completed[cls].load();
-    latencies[cls].resize(st.completed);
-    st.throughput_qps = wall_s > 0 ? double(st.completed) / wall_s : 0;
-    st.p50_ms = PercentileMs(latencies[cls], 0.50);
-    st.p99_ms = PercentileMs(latencies[cls], 0.99);
-    st.p999_ms = PercentileMs(latencies[cls], 0.999);
-  }
-  return out;
-}
-
-// --- Section 2: inter-query parallelism (burst speedup) ------------------
-
 struct BurstResult {
   double serial_s = 0;
   double concurrent_s = 0;
@@ -322,8 +107,8 @@ BurstResult RunBurstSection(const Config& config) {
   // DRAM-resident placements: the burst measures CPU parallelism across
   // sessions (each session is an OS thread), not secondary-store bandwidth.
   auto run = [&](size_t max_sessions, bool serial) {
-    auto orderline = MakeOrderlineTable(config, /*evict=*/false);
-    auto bseg = MakeBsegTable(config, /*evict=*/false);
+    auto orderline = MakeOrderlineTable(config);
+    auto bseg = MakeBsegTable(config);
     SessionOptions so;
     so.max_sessions = max_sessions;
     so.queue_capacity = config.burst_queries;
@@ -362,134 +147,6 @@ BurstResult RunBurstSection(const Config& config) {
   return out;
 }
 
-// --- Section 3: admission control, shedding, zero leaks ------------------
-
-struct AdmissionResult {
-  size_t submitted = 0;
-  size_t admitted = 0;
-  size_t rejected = 0;
-  size_t completed = 0;
-  size_t shed = 0;
-  size_t cancelled = 0;
-  size_t queued_after = 0;
-  size_t in_flight_after = 0;
-  bool balanced = false;
-};
-
-AdmissionResult RunAdmissionSection(const Config& config) {
-  auto table = MakeOrderlineTable(config, /*evict=*/true);
-  SessionOptions so;
-  so.max_sessions = 2;
-  so.queue_capacity = 8;
-  SessionManager& sm = table->EnableServing(so);
-
-  Rng rng(config.seed + 3);
-  AdmissionResult out;
-  std::vector<SessionHandle> handles;
-  for (size_t i = 0; i < config.flood_queries; ++i) {
-    SubmitOptions opts;
-    opts.query_class = QueryClass::kOltp;
-    if (i % 5 == 0) {
-      opts.deadline_ns = SessionManager::NowNs() - 1;  // will be shed
-    }
-    ++out.submitted;
-    auto s = sm.Submit(OltpQuery(config, rng), opts);
-    if (!s.ok()) {
-      ++out.rejected;
-      continue;
-    }
-    ++out.admitted;
-    if (i % 7 == 0) (*s)->Cancel();
-    handles.push_back(*s);
-  }
-  for (const SessionHandle& s : handles) {
-    const Status& st = s->Await().status;
-    if (st.ok()) {
-      ++out.completed;
-    } else if (st.code() == StatusCode::kDeadlineExceeded) {
-      ++out.shed;
-    } else if (st.code() == StatusCode::kCancelled) {
-      ++out.cancelled;
-    }
-  }
-  sm.Drain();
-  out.queued_after = sm.queued();
-  out.in_flight_after = sm.in_flight();
-  out.balanced =
-      out.admitted == out.completed + out.shed + out.cancelled &&
-      out.submitted == out.admitted + out.rejected &&
-      sm.tickets_issued() == out.admitted && out.queued_after == 0 &&
-      out.in_flight_after == 0;
-  return out;
-}
-
-// --- Section 4: serial-replay equivalence under faults -------------------
-
-bool RunEquivalenceSection(const Config& config, std::string* detail) {
-  FaultConfig faults;
-  faults.seed = config.seed + 4;
-  faults.read_error_rate = 0.02;
-  faults.read_corruption_rate = 0.01;
-  faults.latency_spike_rate = 0.01;
-
-  auto run = [&](size_t max_sessions, bool serial) {
-    auto table = MakeOrderlineTable(config, /*evict=*/true);
-    table->store().ConfigureFaults(faults);
-    SessionOptions so;
-    so.max_sessions = max_sessions;
-    so.queue_capacity = config.equivalence_queries;
-    SessionManager& sm = table->EnableServing(so);
-    Rng rng(config.seed + 5);
-    std::vector<SessionHandle> handles;
-    std::vector<std::string> prints;
-    for (size_t i = 0; i < config.equivalence_queries; ++i) {
-      if (i % 8 == 3) {
-        Transaction w = table->Begin();
-        Row row{Value(int32_t(2000 + i)), Value(int32_t{1}),
-                Value(int32_t{1}),        Value(int32_t{1}),
-                Value(int32_t{1}),        Value(int32_t{1}),
-                Value(int64_t{0}),        Value(int32_t{5}),
-                Value(1.0),               Value(std::string("x"))};
-        if (!table->Insert(w, row).ok()) std::abort();
-        table->Commit(&w);
-      }
-      Query q = i % 2 == 0 ? OltpQuery(config, rng)
-                           : ChQuery19(1, 1, 500, 1, 5);
-      SubmitOptions opts;
-      opts.query_class =
-          i % 2 == 0 ? QueryClass::kOltp : QueryClass::kOlap;
-      auto s = sm.Submit(q, opts);
-      if (!s.ok()) std::abort();
-      if (serial) {
-        prints.push_back(Fingerprint((*s)->Await()));
-      } else {
-        handles.push_back(*s);
-      }
-    }
-    for (const SessionHandle& s : handles) {
-      prints.push_back(Fingerprint(s->Await()));
-    }
-    sm.Drain();
-    return prints;
-  };
-
-  bool identical = true;
-  std::string note;
-  for (size_t m : {size_t(1), size_t(2), size_t(4)}) {
-    const std::vector<std::string> serial = run(m, /*serial=*/true);
-    const std::vector<std::string> conc = run(m, /*serial=*/false);
-    size_t mismatches = 0;
-    for (size_t i = 0; i < serial.size(); ++i) {
-      if (serial[i] != conc[i]) ++mismatches;
-    }
-    if (mismatches != 0) identical = false;
-    note += "sessions=" + std::to_string(m) + ":" +
-            (mismatches == 0 ? "identical" : "DIVERGED") + " ";
-  }
-  *detail = note;
-  return identical;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -505,19 +162,11 @@ int main(int argc, char** argv) {
   std::printf("bench_serving%s: %u hardware threads, %zu sessions\n",
               small ? " --small" : "", cores, config.max_sessions);
 
-  bench::PrintHeader("latency under open-loop Poisson load");
-  const LatencyResult lat = RunLatencySection(config);
-  std::printf("wall %.2fs\n", lat.wall_s);
-  std::printf(
-      "  oltp: %zu done, %.0f q/s, p50 %.3fms p99 %.3fms p999 %.3fms\n",
-      lat.oltp.completed, lat.oltp.throughput_qps, lat.oltp.p50_ms,
-      lat.oltp.p99_ms, lat.oltp.p999_ms);
-  std::printf(
-      "  olap: %zu done, %.0f q/s, p50 %.3fms p99 %.3fms p999 %.3fms\n",
-      lat.olap.completed, lat.olap.throughput_qps, lat.olap.p50_ms,
-      lat.olap.p99_ms, lat.olap.p999_ms);
-
   bench::PrintHeader("inter-query parallelism (saturated burst)");
+  // An untimed first burst warms the process (worker threads' allocator
+  // arenas, heap pages) so that the timed one measures parallelism, not
+  // first-touch costs that only its concurrent half would pay.
+  (void)RunBurstSection(config);
   const BurstResult burst = RunBurstSection(config);
   const bool enforce_speedup = cores >= 4;
   std::printf("serial %.3fs, %zu sessions %.3fs, speedup %.2fx%s\n",
@@ -525,81 +174,11 @@ int main(int argc, char** argv) {
               burst.speedup,
               enforce_speedup ? "" : " (report-only: <4 cores)");
 
-  bench::PrintHeader("admission control and shedding");
-  const AdmissionResult adm = RunAdmissionSection(config);
-  std::printf(
-      "submitted %zu = admitted %zu + rejected %zu; admitted = "
-      "completed %zu + shed %zu + cancelled %zu; queued %zu, in-flight "
-      "%zu after drain\n",
-      adm.submitted, adm.admitted, adm.rejected, adm.completed, adm.shed,
-      adm.cancelled, adm.queued_after, adm.in_flight_after);
-
-  bench::PrintHeader("serial-replay equivalence (faults armed)");
-  std::string equivalence_detail;
-  const bool equivalent = RunEquivalenceSection(config, &equivalence_detail);
-  std::printf("%s\n", equivalence_detail.c_str());
-
-  std::string json = "{";
-  json += "\"small\":" + std::string(small ? "true" : "false");
-  json += ",\"hardware_threads\":" + std::to_string(cores);
-  json += ",\"oltp_qps\":" + TraceFormatDouble(lat.oltp.throughput_qps);
-  json += ",\"oltp_p50_ms\":" + TraceFormatDouble(lat.oltp.p50_ms);
-  json += ",\"oltp_p99_ms\":" + TraceFormatDouble(lat.oltp.p99_ms);
-  json += ",\"oltp_p999_ms\":" + TraceFormatDouble(lat.oltp.p999_ms);
-  json += ",\"olap_qps\":" + TraceFormatDouble(lat.olap.throughput_qps);
-  json += ",\"olap_p50_ms\":" + TraceFormatDouble(lat.olap.p50_ms);
-  json += ",\"olap_p99_ms\":" + TraceFormatDouble(lat.olap.p99_ms);
-  json += ",\"olap_p999_ms\":" + TraceFormatDouble(lat.olap.p999_ms);
-  json += ",\"burst_serial_s\":" + TraceFormatDouble(burst.serial_s);
-  json += ",\"burst_concurrent_s\":" + TraceFormatDouble(burst.concurrent_s);
-  json += ",\"burst_speedup\":" + TraceFormatDouble(burst.speedup);
-  json += ",\"speedup_enforced\":";
-  json += enforce_speedup ? "true" : "false";
-  json += ",\"admission_submitted\":" + std::to_string(adm.submitted);
-  json += ",\"admission_admitted\":" + std::to_string(adm.admitted);
-  json += ",\"admission_rejected\":" + std::to_string(adm.rejected);
-  json += ",\"admission_completed\":" + std::to_string(adm.completed);
-  json += ",\"admission_shed\":" + std::to_string(adm.shed);
-  json += ",\"admission_cancelled\":" + std::to_string(adm.cancelled);
-  json += ",\"admission_balanced\":";
-  json += adm.balanced ? "true" : "false";
-  json += ",\"serial_replay_identical\":";
-  json += equivalent ? "true" : "false";
-  json += "}";
-  WriteFile("BENCH_serving.json", json + "\n");
-  std::printf("\nresults written to BENCH_serving.json\n");
-
-  const std::string prom =
-      MetricsRegistry::Global().Snapshot().ToPrometheusText();
-  WriteFile("serving_metrics.txt", prom);
-  std::printf("metrics written to serving_metrics.txt\n");
-
-  // Self-gating acceptance (the PR's bench criteria).
   bool ok = true;
-  if (lat.oltp.completed == 0 || lat.olap.completed == 0) {
-    std::fprintf(stderr, "FAIL: a traffic class completed no queries\n");
-    ok = false;
-  }
   if (enforce_speedup && burst.speedup < 2.0) {
     std::fprintf(stderr, "FAIL: burst speedup %.2fx < 2x\n", burst.speedup);
     ok = false;
   }
-  if (!adm.balanced) {
-    std::fprintf(stderr, "FAIL: admission counters leaked a session\n");
-    ok = false;
-  }
-  if (adm.rejected == 0 || adm.shed == 0 || adm.cancelled == 0) {
-    std::fprintf(stderr,
-                 "FAIL: flood exercised no rejection/shed/cancel path\n");
-    ok = false;
-  }
-  if (!equivalent) {
-    std::fprintf(stderr, "FAIL: concurrent run diverged from serial "
-                         "replay (%s)\n",
-                 equivalence_detail.c_str());
-    ok = false;
-  }
-  bench::MaybeWriteMetricsSnapshot("serving");
   std::printf("serving self-check: %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 }

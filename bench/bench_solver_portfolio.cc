@@ -256,7 +256,6 @@ int main(int argc, char** argv) {
               "tightens it with B&B incumbents as the budget allows, and at "
               "N=10^6 the O(N log N) heuristic paths keep selection in "
               "seconds (paper Table II shape under a deadline).\n");
-  bench::MaybeWriteMetricsSnapshot("solver_portfolio");
   if (failures > 0) {
     std::fprintf(stderr, "%d gate(s) failed\n", failures);
     return 1;

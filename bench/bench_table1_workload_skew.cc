@@ -30,6 +30,5 @@ int main() {
       "BSEG-like tables ~%.0f%%\n",
       100.0 * AnalyzeSkew(GenerateEnterpriseWorkload(BsegProfile(), 42))
                   .unfiltered_byte_share);
-  bench::MaybeWriteMetricsSnapshot("table1_workload_skew");
   return 0;
 }

@@ -81,6 +81,5 @@ int main(int argc, char** argv) {
               "any size; general LP solving explodes with N (the paper's "
               "MOSEK column), and even the specialized exact B&B trails the "
               "explicit computation (paper Table II shape).\n");
-  bench::MaybeWriteMetricsSnapshot("table2_scalability");
   return 0;
 }

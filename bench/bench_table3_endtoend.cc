@@ -124,6 +124,5 @@ int main() {
               100.0 * EvictedShare(table),
               at_roomy.delivery_ns / baseline.delivery_ns,
               at_roomy.ch19_ns / baseline.ch19_ns);
-  bench::MaybeWriteMetricsSnapshot("table3_endtoend");
   return 0;
 }

@@ -157,6 +157,5 @@ int main(int argc, char** argv) {
   std::printf("\n-> tuple reconstruction is ~break-even on wide tables; "
               "scans and probes on tiered attributes cost 10^2-10^3 x and "
               "probing improves with queue depth (paper Table IV).\n");
-  bench::MaybeWriteMetricsSnapshot("table4_slowdowns");
   return 0;
 }

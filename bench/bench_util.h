@@ -3,10 +3,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <string>
-
-#include "common/env.h"
-#include "common/metrics.h"
 
 namespace hytap::bench {
 
@@ -26,24 +22,6 @@ class Stopwatch {
 
 inline void PrintHeader(const char* title) {
   std::printf("\n=== %s ===\n", title);
-}
-
-/// Dumps the process-wide metrics registry to METRICS_<bench_name>.json when
-/// HYTAP_BENCH_METRICS is on (default off); a no-op otherwise. Every
-/// bench main calls this last, so any benchmark run can emit an
-/// observability snapshot alongside its BENCH_*.json result.
-inline void MaybeWriteMetricsSnapshot(const char* bench_name) {
-  if (!EnvBool("HYTAP_BENCH_METRICS", false)) return;
-  const std::string path = std::string("METRICS_") + bench_name + ".json";
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  const std::string json = MetricsRegistry::Global().Snapshot().ToJson();
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::printf("metrics snapshot written to %s\n", path.c_str());
 }
 
 }  // namespace hytap::bench

@@ -115,7 +115,7 @@ class TraceJsonParser {
   explicit TraceJsonParser(const std::string& input) : in_(input) {}
 
   bool Parse(TraceSpan* out) {
-    return ParseSpan(out) && (SkipSpace(), pos_ == in_.size());
+    return ParseSpan(out, 1) && (SkipSpace(), pos_ == in_.size());
   }
 
  private:
@@ -207,7 +207,8 @@ class TraceJsonParser {
     return true;
   }
 
-  bool ParseSpan(TraceSpan* out) {
+  bool ParseSpan(TraceSpan* out, size_t depth) {
+    if (depth > kMaxTraceDepth) return false;
     *out = TraceSpan();
     if (!Consume('{') || !ConsumeLiteral("\"name\"") || !Consume(':') ||
         (SkipSpace(), !ParseString(&out->name)) || !Consume(',') ||
@@ -240,7 +241,7 @@ class TraceJsonParser {
     if (pos_ < in_.size() && in_[pos_] == '{') {
       while (true) {
         out->children.emplace_back();
-        if (!ParseSpan(&out->children.back())) return false;
+        if (!ParseSpan(&out->children.back(), depth + 1)) return false;
         if (!Consume(',')) break;
       }
     }

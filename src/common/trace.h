@@ -2,6 +2,7 @@
 #define HYTAP_COMMON_TRACE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -80,9 +81,14 @@ std::string RenderTraceText(const TraceSpan& root);
 /// ParseTraceJson.
 std::string RenderTraceJson(const TraceSpan& root);
 
+/// Deepest span tree ParseTraceJson accepts, the root being level 1. The
+/// executor's trees are 3 levels deep; the bound keeps the recursive parser
+/// off the end of the stack on hostile input.
+inline constexpr size_t kMaxTraceDepth = 64;
+
 /// Parses the exact schema RenderTraceJson emits (accepting arbitrary
-/// whitespace). Returns false on malformed input; `out` is then
-/// unspecified.
+/// whitespace). Returns false on malformed input or a tree deeper than
+/// kMaxTraceDepth; `out` is then unspecified.
 bool ParseTraceJson(const std::string& json, TraceSpan* out);
 
 /// `root` with wall_ns and simulated_ns zeroed recursively — what the

@@ -59,9 +59,6 @@ StatusOr<Workload> ParseWorkload(const std::string& text) {
     return Status::InvalidArgument("malformed 'columns' line: " + line);
   }
   Workload workload;
-  workload.column_sizes.reserve(n);
-  workload.selectivities.reserve(n);
-  workload.column_names.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     if (!NextLine(in, &line)) {
       return Status::InvalidArgument("unexpected EOF in columns");
@@ -86,7 +83,6 @@ StatusOr<Workload> ParseWorkload(const std::string& text) {
   if (std::sscanf(line.c_str(), "queries %zu", &q) != 1) {
     return Status::InvalidArgument("malformed 'queries' line: " + line);
   }
-  workload.queries.reserve(q);
   for (size_t j = 0; j < q; ++j) {
     if (!NextLine(in, &line)) {
       return Status::InvalidArgument("unexpected EOF in queries");
@@ -177,7 +173,6 @@ StatusOr<WorkloadWindowSeries> ParseWorkloadWindows(const std::string& text) {
       std::sscanf(line.c_str(), "windows %zu", &k) != 1) {
     return Status::InvalidArgument("malformed 'windows' line: " + line);
   }
-  series.windows.reserve(k);
   const size_t n = series.column_count;
   // Per-column vector sections share one reader: `selcnt` holds u64 counts
   // but doubles read them losslessly up to 2^53 — far beyond any ring.
@@ -186,7 +181,6 @@ StatusOr<WorkloadWindowSeries> ParseWorkloadWindows(const std::string& text) {
     std::istringstream fields(line);
     std::string got;
     if (!(fields >> got) || got != tag) return false;
-    out_values->reserve(n);
     double value = 0;
     while (fields >> value) out_values->push_back(value);
     return out_values->size() == n;

@@ -66,9 +66,9 @@ class PlanCache {
   /// means where available (falling back to the table-static estimate).
   Workload ToWorkload(const Table& table) const;
 
-  /// Raw per-template statistics (key = sorted filtered-column set). Used by
-  /// the workload-history / forecasting layer. Unlocked: callers must be
-  /// quiesced (no serving sessions recording concurrently).
+  /// Raw per-template statistics (key = sorted filtered-column set).
+  /// Unlocked: callers must be quiesced (no serving sessions recording
+  /// concurrently).
   const std::map<std::vector<ColumnId>, TemplateStats>& templates() const {
     return templates_;
   }

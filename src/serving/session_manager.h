@@ -135,11 +135,11 @@ using SessionHandle = std::shared_ptr<QuerySession>;
 /// injected faults — is therefore a pure function of (submission history,
 /// ticket), independent of worker count and dispatch interleaving; the
 /// concurrent run is bit-identical to a serial submit-and-await replay
-/// (session_test / bench_serving assert this).
+/// (session_test asserts this).
 ///
 /// Observations are replayed into the workload monitor and plan cache in
-/// ticket order through a reorder buffer, so the PR 5 window time series and
-/// the PR 7 forecasting inputs are also interleaving-independent.
+/// ticket order through a reorder buffer, so the monitor's window time
+/// series and the plan cache's templates are also interleaving-independent.
 class SessionManager {
  public:
   SessionManager(TieredTable* table, SessionOptions options);

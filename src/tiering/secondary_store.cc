@@ -306,9 +306,7 @@ StatusOr<SecondaryStore::ReadOutcome> SecondaryStore::ReadPage(
     // writes, so one verification per write amortizes the CRC to zero on
     // the fault-free fast path. An armed injector can corrupt bytes in
     // transit, so then every delivered buffer is re-verified.
-    const bool must_verify =
-        verify_checksums_ && (injector != nullptr || !verified_[id]);
-    if (must_verify) {
+    if (injector != nullptr || !verified_[id]) {
       if (Crc32c(dest->data(), kPageSize) != checksums_[id]) {
         // In-transit corruption clears on a re-read; corruption of the
         // stored bytes fails every retry and is declared data loss below.

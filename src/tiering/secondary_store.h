@@ -161,11 +161,6 @@ class SecondaryStore {
   /// load phase) and clears the quarantine set and fault stats.
   void ConfigureFaults(FaultConfig config);
 
-  /// Disables/enables checksum verification on reads (overhead benchmarks
-  /// only; verification is on by default).
-  void set_verify_checksums(bool verify) { verify_checksums_ = verify; }
-  bool verify_checksums() const { return verify_checksums_; }
-
   /// Maximum read retries after a failed attempt (HYTAP_MAX_READ_RETRIES
   /// environment override, default 4).
   void set_max_read_retries(uint32_t retries) { max_read_retries_ = retries; }
@@ -215,7 +210,6 @@ class SecondaryStore {
   /// (kUnavailable or kDataLoss).
   std::unordered_map<PageId, StatusCode> quarantine_;
   uint32_t max_read_retries_;
-  bool verify_checksums_ = true;
   uint64_t total_read_ns_ = 0;
   uint64_t reads_ = 0;
   /// Mutable: VerifyPage is logically const (it changes no page state) but

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 
 #include "common/random.h"
@@ -134,36 +135,59 @@ std::vector<Row> ClusteredRows(size_t rows, size_t width) {
 }
 
 TEST(DataSkippingTest, SscgSynopsisPrunesPages) {
-  const size_t rows = 20000;
-  SecondaryStore store(DeviceKind::kXpoint);
-  Sscg sscg(RowLayout(GroupSchema(8), {0, 1, 2, 3, 4, 5, 6, 7}),
-            ClusteredRows(rows, 8), &store);
-  BufferManager buffers(&store, 8);
-  const Value lo(int32_t{5000}), hi(int32_t{5019});
+  // A narrow range over a clustered group, every page but the range's
+  // pruned. The second instance is the >= 5x page_reads gate: 0.1 % of
+  // 50 000 rows at rows/2, a 10-column CSSD group, 16 frames, 4 threads.
+  struct Instance {
+    size_t rows;
+    size_t width;
+    DeviceKind device;
+    size_t frames;
+    int32_t lo;
+    int32_t span;
+    uint32_t threads;
+  };
+  for (const Instance& instance :
+       {Instance{20000, 8, DeviceKind::kXpoint, 8, 5000, 20, 1},
+        Instance{50000, 10, DeviceKind::kCssd, 16, 25000, 50, 4}}) {
+    SCOPED_TRACE(instance.rows);
+    SecondaryStore store(instance.device);
+    std::vector<ColumnId> members(instance.width);
+    std::iota(members.begin(), members.end(), ColumnId{0});
+    Sscg sscg(RowLayout(GroupSchema(instance.width), members),
+              ClusteredRows(instance.rows, instance.width), &store);
+    BufferManager buffers(&store, instance.frames);
+    const Value lo(instance.lo), hi(int32_t(instance.lo + instance.span - 1));
 
-  PositionList off_out;
-  IoStats off_io;
-  {
-    ZoneMapsGuard off(false);
+    PositionList off_out;
+    IoStats off_io;
+    {
+      ZoneMapsGuard off(false);
+      buffers.Clear();
+      ASSERT_TRUE(sscg.ScanSlot(0, &lo, &hi, &buffers, instance.threads,
+                                &off_out, &off_io)
+                      .ok());
+    }
+    EXPECT_EQ(off_out.size(), size_t(instance.span));
+    EXPECT_EQ(off_io.page_reads + off_io.cache_hits, sscg.page_count());
+    EXPECT_EQ(off_io.pages_pruned, 0u);
+
+    ZoneMapsGuard on(true);
+    PositionList on_out;
+    IoStats on_io;
     buffers.Clear();
-    ASSERT_TRUE(sscg.ScanSlot(0, &lo, &hi, &buffers, 1, &off_out, &off_io)
+    ASSERT_TRUE(sscg.ScanSlot(0, &lo, &hi, &buffers, instance.threads,
+                              &on_out, &on_io)
                     .ok());
+    EXPECT_EQ(on_out, off_out);
+    // The range's consecutive values span at most two pages; everything
+    // else prunes.
+    EXPECT_LE(on_io.page_reads + on_io.cache_hits, 2u);
+    EXPECT_EQ(on_io.pages_pruned,
+              sscg.page_count() - (on_io.page_reads + on_io.cache_hits));
+    EXPECT_GE(on_io.pages_pruned, sscg.page_count() - 2);
+    EXPECT_LE(on_io.page_reads * 5, off_io.page_reads);
   }
-  EXPECT_EQ(off_out.size(), 20u);
-  EXPECT_EQ(off_io.page_reads + off_io.cache_hits, sscg.page_count());
-  EXPECT_EQ(off_io.pages_pruned, 0u);
-
-  ZoneMapsGuard on(true);
-  PositionList on_out;
-  IoStats on_io;
-  buffers.Clear();
-  ASSERT_TRUE(sscg.ScanSlot(0, &lo, &hi, &buffers, 1, &on_out, &on_io).ok());
-  EXPECT_EQ(on_out, off_out);
-  // 20 consecutive values span at most two pages; everything else prunes.
-  EXPECT_LE(on_io.page_reads + on_io.cache_hits, 2u);
-  EXPECT_EQ(on_io.pages_pruned,
-            sscg.page_count() - (on_io.page_reads + on_io.cache_hits));
-  EXPECT_GE(on_io.pages_pruned, sscg.page_count() - 2);
 }
 
 TEST(DataSkippingTest, StringSlotsNeverPrune) {

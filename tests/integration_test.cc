@@ -1,14 +1,12 @@
 // End-to-end pipeline tests: load -> workload -> advisor -> migrate ->
-// verify that (i) results never change, (ii) the modeled scan cost drops the
-// way the selection model predicts, and (iii) forecast-driven re-advice
-// adapts the placement.
+// verify that (i) results never change and (ii) the modeled scan cost drops
+// the way the selection model predicts.
 
 #include <gtest/gtest.h>
 
 #include "core/advisor.h"
 #include "core/migrator.h"
 #include "core/tiered_table.h"
-#include "workload/forecast.h"
 #include "workload/tpcc.h"
 
 namespace hytap {
@@ -107,45 +105,6 @@ TEST(IntegrationTest, InsertsQueriesMergeSurvivePlacement) {
   QueryResult result = table->Execute(reader, q);
   EXPECT_EQ(result.aggregate_values[0], Value(int64_t{30}));
   EXPECT_DOUBLE_EQ(result.aggregate_values[1].AsDouble(), 45.0);
-}
-
-TEST(IntegrationTest, ForecastDrivenReadvice) {
-  // Epoch 1: delivery-only. Epoch 2-3: CH-19 volume ramps up. A trend
-  // forecast must pull ol_quantity into DRAM at a budget where the static
-  // history would not.
-  auto table = MakeTable(DeviceKind::kXpoint);
-  WorkloadHistory history;
-  Transaction txn = table->Begin();
-  auto run_epoch = [&](int deliveries, int ch_queries) {
-    table->plan_cache().Clear();
-    for (int i = 0; i < deliveries; ++i) {
-      table->Execute(txn, DeliveryQuery(1 + i % 3, 1 + i % 4, 1 + i % 40));
-    }
-    for (int i = 0; i < ch_queries; ++i) {
-      table->Execute(txn, ChQuery19(1 + i % 3, 1, 400, 1, 3));
-    }
-    history.CloseEpoch(table->plan_cache(), table->table());
-  };
-  run_epoch(100, 0);
-  run_epoch(100, 30);
-  run_epoch(100, 60);
-  Workload predicted = history.Forecast(table->table(),
-                                        ForecastMethod::kLinearTrend);
-  // The CH-19 template's predicted frequency exceeds its recorded mean.
-  double ch_freq = 0.0;
-  for (const auto& q : predicted.queries) {
-    if (q.columns.size() == 3 &&
-        std::find(q.columns.begin(), q.columns.end(), uint32_t(kOlQuantity))
-            != q.columns.end()) {
-      ch_freq = q.frequency;
-    }
-  }
-  EXPECT_GT(ch_freq, 60.0);
-  // Selection on the forecast keeps ol_quantity DRAM-resident.
-  auto problem = SelectionProblem::FromRelativeBudget(
-      predicted, ScanCostParams{1.0, 100.0}, 0.5);
-  SelectionResult placement = SelectExplicit(problem);
-  EXPECT_EQ(placement.in_dram[kOlQuantity], 1);
 }
 
 }  // namespace

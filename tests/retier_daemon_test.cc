@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/random.h"
 #include "core/retier_daemon.h"
+#include "selection/cost_model.h"
 #include "selection/reallocation.h"
 #include "workload/enterprise.h"
 
@@ -24,7 +27,7 @@ constexpr size_t kHotCount = 5;
 constexpr size_t kHotA = 1;
 constexpr size_t kHotB = kCols - kHotCount;
 
-std::unique_ptr<TieredTable> MakeBseg() {
+std::unique_ptr<TieredTable> MakeBseg(size_t rows = kRows) {
   EnterpriseProfile profile = BsegProfile();
   profile.attribute_count = kCols;
   TieredTableOptions options;
@@ -35,19 +38,20 @@ std::unique_ptr<TieredTable> MakeBseg() {
   options.monitor.window_ns = 1'000'000'000'000'000ull;
   auto table = std::make_unique<TieredTable>(
       "bseg", MakeEnterpriseSchema(profile), options);
-  table->Load(GenerateEnterpriseRows(profile, kRows, kSeed));
+  table->Load(GenerateEnterpriseRows(profile, rows, kSeed));
   return table;
 }
 
-/// Seeded conjunctive mix concentrated on `hot_count` payload columns
-/// starting at `hot_base`. A fresh Rng per phase keeps every phase-A (and
-/// every phase-B) query sequence identical, so alternating phases aggregate
-/// to the same mixed workload — the oscillation test depends on that.
+/// Seeded conjunctive mix of `queries` queries concentrated on `hot_count`
+/// payload columns starting at `hot_base`. A fresh Rng per phase keeps every
+/// phase-A (and every phase-B) query sequence identical, so alternating
+/// phases aggregate to the same mixed workload — the oscillation test
+/// depends on that.
 void RunPhase(TieredTable* table, size_t hot_base, size_t hot_count,
-              uint32_t threads) {
+              uint32_t threads, size_t queries = kQueriesPerPhase) {
   Rng rng(kSeed * 7919 + hot_base);
   Transaction txn = table->Begin();
-  for (size_t q = 0; q < kQueriesPerPhase; ++q) {
+  for (size_t q = 0; q < queries; ++q) {
     Query query;
     const size_t hot = hot_base + size_t(rng.NextBounded(hot_count));
     query.predicates.push_back(
@@ -200,6 +204,97 @@ TEST(RetierDaemonTest, ThrottleBoundsPerWindowBytes) {
   EXPECT_GT(bytes_by_window.size(), 1u);
   for (const auto& [window, bytes] : bytes_by_window) {
     EXPECT_LE(bytes, options.bytes_per_window) << "window " << window;
+  }
+}
+
+/// F(current placement) against the recomputed integer optimum at the same
+/// budget on `workload`, as a relative gap in percent.
+double OptimalityGapPct(const TieredTable& table, const Workload& workload,
+                        double budget_bytes) {
+  const std::vector<bool>& placement = table.table().placement();
+  const std::vector<uint8_t> current(placement.begin(), placement.end());
+  const double current_cost =
+      CostModel(workload, ScanCostParams()).ScanCost(current);
+  SelectionProblem problem;
+  problem.workload = &workload;
+  problem.budget_bytes = budget_bytes;
+  const SelectionResult optimum = SelectIntegerOptimal(problem);
+  if (optimum.scan_cost <= 0.0) return 0.0;
+  return 100.0 * (current_cost - optimum.scan_cost) / optimum.scan_cost;
+}
+
+TEST(RetierDaemonTest, ThrottledPlanReachesOptimumAfterSkewFlip) {
+  // A 2000-row table, 24 queries per phase and the default amortization
+  // horizon; the throttle admits about one column move per window.
+  auto table = MakeBseg(/*rows=*/2000);
+  RetierOptions options = TestOptions(*table);
+  options.amortization_windows = RetierOptions().amortization_windows;
+  options.bytes_per_window = MaxColumnBytes(*table) + 1024;
+  RetierDaemon daemon(table.get(), options);
+  uint64_t max_window_bytes = 0;
+  auto tick = [&] {
+    max_window_bytes = std::max(max_window_bytes, daemon.Tick().window_bytes);
+  };
+  auto drain = [&] {
+    const std::vector<RetierTickReport> reports =
+        DrainPlan(table.get(), &daemon);
+    for (const RetierTickReport& report : reports) {
+      max_window_bytes = std::max(max_window_bytes, report.window_bytes);
+    }
+    return reports.size();
+  };
+
+  // Phase A: observe, optimize, drain the throttled plan.
+  RunPhase(table.get(), kHotA, kHotCount, /*threads=*/2, /*queries=*/24);
+  const Workload workload_a = table->monitor().ToWorkload(table->table(), 1);
+  tick();
+  drain();
+  EXPECT_LE(OptimalityGapPct(*table, workload_a, options.budget_bytes), 5.0);
+
+  // Skew flip: the phase-A placement is far from the new optimum, and the
+  // throttled re-plan closes the gap over at least two windows.
+  table->monitor().ForceRoll();
+  RunPhase(table.get(), kHotB, kHotCount, /*threads=*/2, /*queries=*/24);
+  const Workload workload_b = table->monitor().ToWorkload(table->table(), 1);
+  EXPECT_GT(OptimalityGapPct(*table, workload_b, options.budget_bytes), 5.0);
+  tick();
+  const size_t windows_to_converge = drain() + 1;
+  EXPECT_LE(OptimalityGapPct(*table, workload_b, options.budget_bytes), 5.0);
+  EXPECT_GE(windows_to_converge, 2u);
+
+  // Every window's migration bytes, from the ticks and from the plans' own
+  // step accounting, stay within the throttle.
+  for (const RetierPlan& plan : daemon.history()) {
+    std::map<uint64_t, uint64_t> bytes_by_window;
+    for (const RetierStep& step : plan.steps) {
+      if (step.outcome == RetierStepOutcome::kApplied) {
+        bytes_by_window[step.window] += step.bytes;
+      }
+    }
+    for (const auto& [window, bytes] : bytes_by_window) {
+      max_window_bytes = std::max(max_window_bytes, bytes);
+    }
+  }
+  EXPECT_LE(max_window_bytes, options.bytes_per_window);
+
+  // The ticks exported every re-tiering family and the drift gauge they
+  // key on.
+  const std::string prometheus =
+      MetricsRegistry::Global().Snapshot().ToPrometheusText();
+  for (const char* family :
+       {"hytap_retier_ticks_total", "hytap_retier_evaluations_total",
+        "hytap_retier_plans_started_total",
+        "hytap_retier_plans_completed_total",
+        "hytap_retier_plans_aborted_total", "hytap_retier_plans_held_total",
+        "hytap_retier_steps_applied_total",
+        "hytap_retier_steps_quarantined_total",
+        "hytap_retier_steps_skipped_total", "hytap_retier_moved_bytes_total",
+        "hytap_retier_state", "hytap_retier_window_bytes",
+        "hytap_retier_last_improvement_pct_milli", "hytap_retier_beta_milli",
+        "hytap_workload_drift"}) {
+    EXPECT_NE(prometheus.find(std::string("# TYPE ") + family + " "),
+              std::string::npos)
+        << family;
   }
 }
 
@@ -455,6 +550,7 @@ TEST(RetierDaemonTest, DeterministicAcrossThreadCounts) {
   EXPECT_TRUE(one == two);
   EXPECT_TRUE(one == four);
   EXPECT_GT(one.moved_bytes, 0u);
+  EXPECT_GT(one.corrupted_writes, 0u);
 }
 
 TEST(ReallocationTest, BetaFromMigrationWindowAmortizes) {

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/tiered_table.h"
@@ -152,15 +154,23 @@ TEST(SessionTest, DeadlineExceededQueriesAreShedNotExecuted) {
 }
 
 TEST(SessionTest, EdfDispatchOrdersByClassThenDeadline) {
-  auto table = MakeOrderline(60);
+  // A table large enough that the blocker outlasts a scheduling delay of
+  // the test thread on a loaded host.
+  auto table = MakeOrderline(1200);
   EvictPayloadColumns(table.get());
   SessionOptions so;
   so.max_sessions = 1;  // single worker => dispatch order is observable
   SessionManager& sm = table->EnableServing(so);
 
   // Occupy the only worker so the next submissions pile up in the queue.
+  // Wait until the worker has taken the blocker: a blocker still queued
+  // would let the worker dispatch the next submission first. The wait
+  // sleeps so that it does not compete with the worker for a CPU.
   auto blocker = sm.Submit(HeavyOlapQuery());
   ASSERT_TRUE(blocker.ok());
+  while (sm.queued() != 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
 
   const uint64_t now = SessionManager::NowNs();
   const uint64_t far = now + 60ull * 1000 * 1000 * 1000;
@@ -299,9 +309,9 @@ TEST(SessionTest, WritesSerializeAgainstQueries) {
   EXPECT_EQ(r_after.positions.size(), 2u);
 }
 
-/// The determinism tentpole: a concurrent run (4 workers, queries in flight
-/// simultaneously, interleaved writes) must produce per-submission results
-/// bit-identical to a serial submit-and-await replay — including the
+/// The determinism tentpole: a concurrent run (1, 2 and 4 workers, queries
+/// in flight simultaneously, interleaved writes) must produce per-submission
+/// results bit-identical to a serial submit-and-await replay — including the
 /// simulated IO and the injected fault schedule — at 1, 2, and 4 execution
 /// threads per query.
 TEST(SessionTest, SerialReplayBitIdentityUnderConcurrencyAndFaults) {
@@ -369,38 +379,62 @@ TEST(SessionTest, SerialReplayBitIdentityUnderConcurrencyAndFaults) {
 
   for (uint32_t threads : {1u, 2u, 4u}) {
     const std::vector<std::string> serial = run(1, threads, /*serial=*/true);
-    const std::vector<std::string> concurrent =
-        run(4, threads, /*serial=*/false);
-    ASSERT_EQ(serial.size(), concurrent.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i], concurrent[i])
-          << "ticket " << i << " diverged at threads=" << threads;
+    for (size_t workers : {1u, 2u, 4u}) {
+      const std::vector<std::string> concurrent =
+          run(workers, threads, /*serial=*/false);
+      ASSERT_EQ(serial.size(), concurrent.size());
+      for (size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(serial[i], concurrent[i])
+            << "ticket " << i << " diverged at threads=" << threads
+            << ", workers=" << workers;
+      }
     }
   }
 }
 
 TEST(SessionTest, DrainLeavesNoLeakedSessions) {
-  auto table = MakeOrderline();
-  SessionOptions so;
-  so.max_sessions = 2;
-  so.queue_capacity = 8;
-  SessionManager& sm = table->EnableServing(so);
+  // A plain flood into a small queue, then the mixed flood: every 5th query
+  // has an expired deadline and every 7th is cancelled after admission, on
+  // the evicted table. Every submission is accounted for exactly once,
+  // whatever the timing.
+  for (const bool mixed : {false, true}) {
+    SCOPED_TRACE(mixed ? "mixed" : "plain");
+    auto table = MakeOrderline();
+    if (mixed) EvictPayloadColumns(table.get());
+    SessionOptions so;
+    so.max_sessions = 2;
+    so.queue_capacity = 8;
+    SessionManager& sm = table->EnableServing(so);
 
-  size_t admitted = 0;
-  std::vector<SessionHandle> handles;
-  for (size_t i = 0; i < 32; ++i) {
-    auto s = sm.Submit(DeliveryQuery(1 + int32_t(i % 2), 1, int32_t(i % 20)));
-    if (s.ok()) {
-      ++admitted;
+    const size_t submitted = mixed ? 120 : 32;
+    size_t rejected = 0;
+    std::vector<SessionHandle> handles;
+    for (size_t i = 0; i < submitted; ++i) {
+      SubmitOptions opts;
+      if (mixed && i % 5 == 0) opts.deadline_ns = SessionManager::NowNs() - 1;
+      auto s = sm.Submit(
+          DeliveryQuery(1 + int32_t(i % 2), 1, int32_t(i % 20)), opts);
+      if (!s.ok()) {
+        rejected += s.status().code() == StatusCode::kResourceExhausted;
+        continue;
+      }
+      if (mixed && i % 7 == 0) (*s)->Cancel();
       handles.push_back(*s);
     }
-  }
-  sm.Drain();
-  EXPECT_EQ(sm.queued(), 0u);
-  EXPECT_EQ(sm.in_flight(), 0u);
-  EXPECT_EQ(sm.tickets_issued(), admitted);
-  for (const SessionHandle& s : handles) {
-    EXPECT_TRUE(s->Done());
+    sm.Drain();
+    EXPECT_EQ(sm.queued(), 0u);
+    EXPECT_EQ(sm.in_flight(), 0u);
+    size_t completed = 0, shed = 0, cancelled = 0;
+    for (const SessionHandle& s : handles) {
+      ASSERT_TRUE(s->Done());
+      const StatusCode code = s->Await().status.code();
+      completed += code == StatusCode::kOk;
+      shed += code == StatusCode::kDeadlineExceeded;
+      cancelled += code == StatusCode::kCancelled;
+    }
+    EXPECT_EQ(submitted, handles.size() + rejected);
+    EXPECT_EQ(handles.size(), completed + shed + cancelled);
+    EXPECT_EQ(sm.tickets_issued(), handles.size());
   }
 }
 

@@ -296,6 +296,23 @@ TEST(TraceTest, ParseRejectsMalformedJson) {
       &out));
 }
 
+TEST(TraceTest, ParseBoundsNestingDepth) {
+  auto nested = [](size_t depth) {
+    std::string json;
+    for (size_t i = 0; i < depth; ++i) {
+      json += "{\"name\":\"s\",\"simulated_ns\":0,\"wall_ns\":0,"
+              "\"annotations\":{},\"children\":[";
+    }
+    for (size_t i = 0; i < depth; ++i) json += "]}";
+    return json;
+  };
+  TraceSpan out;
+  EXPECT_TRUE(ParseTraceJson(nested(kMaxTraceDepth), &out));
+  EXPECT_FALSE(ParseTraceJson(nested(kMaxTraceDepth + 1), &out));
+  // Deep enough to overflow the stack if each level recursed unchecked.
+  EXPECT_FALSE(ParseTraceJson(nested(100000), &out));
+}
+
 TEST(TraceTest, TextRenderingShowsTreeStructure) {
   TraceSpan root;
   root.name = "execute";

@@ -68,6 +68,17 @@ TEST(WorkloadIoTest, RejectsMalformedInputs) {
   // Truncated column section.
   EXPECT_FALSE(
       ParseWorkload("hytap-workload v1\ncolumns 2\na 10 0.5\n").ok());
+  // Header counts far beyond the input allocate nothing up front: the
+  // parse ends at the input's end.
+  EXPECT_EQ(ParseWorkload("hytap-workload v1\ncolumns 2305843009213693951\n")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseWorkload("hytap-workload v1\ncolumns 1\na 10 0.5\n"
+                          "queries 2305843009213693951\n")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(WorkloadIoTest, FileRoundTrip) {
@@ -168,6 +179,20 @@ TEST(WorkloadIoTest, WindowsRejectsMalformedInputs) {
                                     "columns 2 window_ns 10\nwindows 1\n" +
                                     window_line + "freq 1.0\n")
                    .ok());
+  // Header counts far beyond the input allocate nothing up front.
+  EXPECT_EQ(ParseWorkloadWindows(header +
+                                 "columns 2 window_ns 10\n"
+                                 "windows 2305843009213693951\n")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseWorkloadWindows(
+                header +
+                "columns 2305843009213693951 window_ns 10\nwindows 1\n" +
+                window_line + "freq 1 0\n")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
   // Negative selectivity sample count.
   EXPECT_FALSE(ParseWorkloadWindows(
                    header + "columns 2 window_ns 10\nwindows 1\n" +

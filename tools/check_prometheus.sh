@@ -2,8 +2,7 @@
 # promtool-style lint of the engine's Prometheus text exposition.
 #
 # Usage: check_prometheus.sh <metrics.txt> [--require-solver]
-#     [--require-retier] [--require-sessions] [--require-slo]
-#     [--require-phases]
+#     [--require-sessions] [--require-slo] [--require-phases]
 #
 # Validates (with plain grep -E, no promtool dependency) that:
 #   - every line is a `# TYPE` comment or a `name[{labels}] value` sample;
@@ -16,12 +15,8 @@
 #     present;
 #   - with --require-solver, the hytap_solver_* families of the anytime
 #     solver portfolio are present too (snapshots from `stats_cli --solver`);
-#   - with --require-retier, the hytap_retier_* families of the re-tiering
-#     daemon plus the hytap_workload_drift gauge are present (snapshots from
-#     `bench_retiering`);
 #   - with --require-sessions, the hytap_session_* families of the serving
-#     front end are present (snapshots from `stats_cli --sessions` or
-#     `bench_serving`);
+#     front end are present (snapshots from `stats_cli --sessions`);
 #   - with --require-slo, the hytap_slo_* burn-rate families of the latency
 #     profiler plus the hytap_flight_* recorder counters are present
 #     (snapshots from `stats_cli --slo`);
@@ -32,7 +27,6 @@
 set -u
 
 require_solver=0
-require_retier=0
 require_sessions=0
 require_slo=0
 require_phases=0
@@ -40,7 +34,6 @@ file=""
 for arg in "$@"; do
   case "$arg" in
     --require-solver) require_solver=1 ;;
-    --require-retier) require_retier=1 ;;
     --require-sessions) require_sessions=1 ;;
     --require-slo) require_slo=1 ;;
     --require-phases) require_phases=1 ;;
@@ -53,8 +46,7 @@ for arg in "$@"; do
 done
 if [ -z "$file" ] || [ ! -r "$file" ]; then
   echo "usage: check_prometheus.sh <metrics.txt> [--require-solver]" \
-       "[--require-retier] [--require-sessions] [--require-slo]" \
-       "[--require-phases]" >&2
+       "[--require-sessions] [--require-slo] [--require-phases]" >&2
   exit 2
 fi
 status=0
@@ -131,32 +123,8 @@ if [ "$require_solver" -eq 1 ]; then
     || fail "no hytap_solver_wins_*_total sample found"
 fi
 
-# 6. Opt-in: re-tiering daemon families (emitted once a RetierDaemon ticked,
-# e.g. `bench_retiering`), plus the workload-drift gauge it keys on.
-if [ "$require_retier" -eq 1 ]; then
-  for family in \
-    hytap_retier_ticks_total \
-    hytap_retier_evaluations_total \
-    hytap_retier_plans_started_total \
-    hytap_retier_plans_completed_total \
-    hytap_retier_plans_aborted_total \
-    hytap_retier_plans_held_total \
-    hytap_retier_steps_applied_total \
-    hytap_retier_steps_quarantined_total \
-    hytap_retier_steps_skipped_total \
-    hytap_retier_moved_bytes_total \
-    hytap_retier_state \
-    hytap_retier_window_bytes \
-    hytap_retier_last_improvement_pct_milli \
-    hytap_retier_beta_milli \
-    hytap_workload_drift; do
-    grep -q -E "^# TYPE ${family} (counter|gauge|histogram)$" "$file" \
-      || fail "expected re-tiering metric family '$family' missing"
-  done
-fi
-
-# 7. Opt-in: serving front-end families (emitted once a SessionManager ran,
-# e.g. `stats_cli --sessions` or `bench_serving`).
+# 6. Opt-in: serving front-end families (emitted once a SessionManager ran,
+# e.g. `stats_cli --sessions`).
 if [ "$require_sessions" -eq 1 ]; then
   for family in \
     hytap_session_submitted_total \
@@ -176,7 +144,7 @@ if [ "$require_sessions" -eq 1 ]; then
   done
 fi
 
-# 8. Opt-in: SLO burn-rate families plus the flight-recorder counters
+# 7. Opt-in: SLO burn-rate families plus the flight-recorder counters
 # (emitted once a LatencyProfiler observed sessions and exported its gauges,
 # e.g. `stats_cli --slo`).
 if [ "$require_slo" -eq 1 ]; then
@@ -195,7 +163,7 @@ if [ "$require_slo" -eq 1 ]; then
   done
 fi
 
-# 9. Opt-in: latency-profiler phase families (emitted once a LatencyProfiler
+# 8. Opt-in: latency-profiler phase families (emitted once a LatencyProfiler
 # observed sessions and exported its gauges, e.g. `stats_cli --phases`).
 if [ "$require_phases" -eq 1 ]; then
   for family in \
