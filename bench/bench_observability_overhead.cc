@@ -1,8 +1,6 @@
 // Overhead of the observability layer on the query fast path: the metrics
-// registry (HYTAP_METRICS), per-query tracing (HYTAP_TRACE), the workload
-// monitor (HYTAP_WORKLOAD_MONITOR), the flight recorder
-// (HYTAP_FLIGHT_RECORDER), and latency phase accounting
-// (HYTAP_PHASE_ACCOUNTING; on the serving workload, the whole latency
+// registry, per-query tracing, the workload monitor, the flight recorder,
+// and latency phase accounting (on the serving workload, the whole latency
 // profiler with its SLO burn rates) on vs off, over a Fig. 9-style tiered
 // table (DRAM id column + width-10 tiered payload) driven end-to-end through
 // the executor, through the raw MRC scan kernel, and through the serving
@@ -23,7 +21,6 @@
 #include "common/flight_recorder.h"
 #include "common/metrics.h"
 #include "common/phases.h"
-#include "common/random.h"
 #include "common/trace.h"
 #include "core/tiered_table.h"
 #include "query/executor.h"
@@ -51,7 +48,7 @@ constexpr double kNoiseFloorSeconds = 0.0005;
 
 struct Sample {
   const char* workload;
-  double baseline_seconds;  // every observability knob off
+  double baseline_seconds;  // every observability layer off
   double metrics_seconds;   // metrics on only
   double trace_seconds;     // trace on only
   double monitor_seconds;   // workload monitor on only
@@ -76,55 +73,43 @@ struct Sample {
 
 std::vector<Sample> g_samples;
 
-/// Runs `fn` under baseline / metrics-only / trace-only / monitor-only /
-/// flight-only / phases-only configurations, alternating within each rep
-/// after one untimed warmup, and keeps the best time per configuration.
+/// Runs `fn(monitor, phases)` under baseline / metrics-only / trace-only /
+/// monitor-only / flight-only / phases-only configurations, alternating
+/// within each rep after one untimed warmup, and keeps the best time per
+/// configuration. Metrics, tracing and the flight recorder are process-wide
+/// switches set here; the monitor and phase accounting are per-call opt-ins
+/// that `fn` applies from its two arguments.
 template <typename Fn>
 Sample MeasureConfigs(const char* workload, int reps, Fn&& fn) {
-  auto configure = [](bool metrics, bool trace, bool monitor, bool flight,
-                      bool phases) {
+  auto run = [&](bool metrics, bool trace, bool monitor, bool flight,
+                 bool phases) {
     SetMetricsEnabled(metrics);
     SetTraceEnabled(trace);
-    SetWorkloadMonitorEnabled(monitor);
     SetFlightRecorderEnabled(flight);
-    SetPhaseAccountingEnabled(phases);
+    bench::Stopwatch watch;
+    fn(monitor, phases);
+    return watch.Seconds();
   };
-  configure(false, false, false, false, false);
-  fn();
+  run(false, false, false, false, false);
   Sample sample{workload, 1e100, 1e100, 1e100, 1e100, 1e100, 1e100};
   for (int r = 0; r < reps; ++r) {
-    configure(false, false, false, false, false);
-    bench::Stopwatch base_watch;
-    fn();
     sample.baseline_seconds = std::min(sample.baseline_seconds,
-                                       base_watch.Seconds());
-    configure(true, false, false, false, false);
-    bench::Stopwatch metrics_watch;
-    fn();
+                                       run(false, false, false, false, false));
     sample.metrics_seconds = std::min(sample.metrics_seconds,
-                                      metrics_watch.Seconds());
-    configure(false, true, false, false, false);
-    bench::Stopwatch trace_watch;
-    fn();
+                                      run(true, false, false, false, false));
     sample.trace_seconds = std::min(sample.trace_seconds,
-                                    trace_watch.Seconds());
-    configure(false, false, true, false, false);
-    bench::Stopwatch monitor_watch;
-    fn();
+                                    run(false, true, false, false, false));
     sample.monitor_seconds = std::min(sample.monitor_seconds,
-                                      monitor_watch.Seconds());
-    configure(false, false, false, true, false);
-    bench::Stopwatch flight_watch;
-    fn();
+                                      run(false, false, true, false, false));
     sample.flight_seconds = std::min(sample.flight_seconds,
-                                     flight_watch.Seconds());
-    configure(false, false, false, false, true);
-    bench::Stopwatch phases_watch;
-    fn();
+                                     run(false, false, false, true, false));
     sample.phases_seconds = std::min(sample.phases_seconds,
-                                     phases_watch.Seconds());
+                                     run(false, false, false, false, true));
   }
-  configure(true, false, true, true, true);  // engine defaults
+  // Engine defaults.
+  SetMetricsEnabled(true);
+  SetTraceEnabled(false);
+  SetFlightRecorderEnabled(true);
   g_samples.push_back(sample);
   std::printf("  %-12s baseline: %9.2f ms   metrics: %9.2f ms (%+5.2f %%)   "
               "trace: %9.2f ms (%+5.2f %%)   monitor: %9.2f ms (%+5.2f %%)   "
@@ -245,20 +230,21 @@ int main(int argc, char** argv) {
                 kPayloadWidth);
 
     QueryExecutor executor(&table);
-    // The monitor config exercises the full observation path: per-step
-    // IoStats deltas, windowing, and the ring roll on the simulated clock.
+    // The monitor config attaches a monitor, which exercises the full
+    // observation path: per-step IoStats deltas, windowing, and the ring
+    // roll on the simulated clock.
     WorkloadMonitor monitor(table.column_count());
-    executor.set_monitor(&monitor);
     Transaction txn = txns.Begin();
     const std::vector<Query> queries = QueryMix(rows);
-    // The phases config pays the stamping cost only when a caller asks for
-    // the decomposition, so the mix requests it the way a serving session
-    // would: a PhaseVector wired through ExecOptions.
+    // The phases config asks for the decomposition the way a serving
+    // session does: a PhaseVector wired through ExecOptions.
     PhaseVector phases;
     ExecOptions eopts;
     eopts.threads = 2;
-    eopts.phases = &phases;
-    executor_sample = MeasureConfigs("query_mix", reps, [&] {
+    executor_sample = MeasureConfigs("query_mix", reps, [&](bool monitored,
+                                                            bool phased) {
+      executor.set_monitor(monitored ? &monitor : nullptr);
+      eopts.phases = phased ? &phases : nullptr;
       buffers.Clear();
       for (const Query& query : queries) {
         QueryResult result = executor.Execute(txn, query, eopts);
@@ -278,7 +264,7 @@ int main(int argc, char** argv) {
     Sscg sscg(RowLayout(schema, members), TableRows(rows), &store);
     BufferManager buffers(&store, 64);
     const size_t sweeps = small ? 4 : 8;
-    scan_sample = MeasureConfigs("mrc_scan", reps, [&] {
+    scan_sample = MeasureConfigs("mrc_scan", reps, [&](bool, bool) {
       for (size_t s = 0; s < sweeps; ++s) {
         buffers.Clear();
         PositionList out;
@@ -306,13 +292,15 @@ int main(int argc, char** argv) {
     so.default_threads = 1;
     SessionManager& sm = table.EnableServing(so);
     // Only the phases config attaches the profiler, so it alone pays the
-    // profiler's whole fold at every ticket-order flush: SLO burn rates
-    // (which run whatever the phase knob says) plus histograms, tail test
-    // and attribution walk.
+    // profiler's whole fold at every ticket-order flush: SLO burn rates plus
+    // histograms, tail test and attribution walk. The table's monitor stays
+    // attached in every config, the baseline included; no serving gate
+    // reads the monitor sample.
     LatencyProfiler profiler;
     const std::vector<Query> queries = QueryMix(small ? 20000 : 50000);
-    serving_sample = MeasureConfigs("serving_mix", reps, [&] {
-      sm.set_latency_profiler(PhaseAccountingEnabled() ? &profiler : nullptr);
+    serving_sample = MeasureConfigs("serving_mix", reps, [&](bool,
+                                                             bool phased) {
+      sm.set_latency_profiler(phased ? &profiler : nullptr);
       std::vector<SessionHandle> handles;
       handles.reserve(queries.size() * 4);
       for (size_t pass = 0; pass < 4; ++pass) {

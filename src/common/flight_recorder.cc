@@ -17,7 +17,7 @@
 namespace hytap {
 namespace {
 
-std::atomic<int> g_enabled{-1};  // -1 = unresolved, 0 = off, 1 = on
+std::atomic<bool> g_enabled{true};
 
 struct FlightMetrics {
   Counter* events;
@@ -42,16 +42,11 @@ bool CanonicalLess(const FlightEvent& x, const FlightEvent& y) {
 }  // namespace
 
 bool FlightRecorderEnabled() {
-  int state = g_enabled.load(std::memory_order_relaxed);
-  if (state < 0) {
-    state = EnvBool("HYTAP_FLIGHT_RECORDER", true) ? 1 : 0;
-    g_enabled.store(state, std::memory_order_relaxed);
-  }
-  return state == 1;
+  return g_enabled.load(std::memory_order_relaxed);
 }
 
 void SetFlightRecorderEnabled(bool enabled) {
-  g_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
+  g_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 // One slot = a seqlock'd event. The version counter is odd while a write is
@@ -116,8 +111,7 @@ struct ShardHandle {
 }  // namespace
 
 FlightRecorder& FlightRecorder::Global() {
-  static FlightRecorder* recorder =
-      new FlightRecorder(EnvU64("HYTAP_FLIGHT_RING_EVENTS", 1ull << 14));
+  static FlightRecorder* recorder = new FlightRecorder();
   return *recorder;
 }
 

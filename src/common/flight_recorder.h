@@ -20,8 +20,9 @@
 // words -- so a concurrent Snapshot() never reads a torn event and the whole
 // structure is data-race-free under TSAN without any mutex on the hot path.
 //
-// Gating: HYTAP_FLIGHT_RECORDER (default on). When off, Record() is a single
-// relaxed atomic load + branch.
+// Gating: SetFlightRecorderEnabled (default on), which the overhead bench
+// and tests flip. When off, Record() is a single relaxed atomic load +
+// branch.
 
 #include <cstdint>
 #include <string>
@@ -94,15 +95,14 @@ struct FlightEvent {
 };
 static_assert(sizeof(FlightEvent) == 48, "FlightEvent must stay 48 bytes");
 
-// Master switch, process-wide. Reads HYTAP_FLIGHT_RECORDER once (default on).
+// Master switch, process-wide (default on).
 bool FlightRecorderEnabled();
-// Test/bench override of the master switch (bypasses the env variable).
+// Test/bench override of the master switch.
 void SetFlightRecorderEnabled(bool enabled);
 
 class FlightRecorder {
  public:
-  // Process-wide singleton. Capacity per shard comes from
-  // HYTAP_FLIGHT_RING_EVENTS (default 1 << 14 events per shard).
+  // Process-wide singleton with the default ring size.
   static FlightRecorder& Global();
 
   explicit FlightRecorder(size_t events_per_shard = 1 << 14);

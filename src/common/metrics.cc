@@ -6,13 +6,12 @@
 #include <cstdio>
 
 #include "common/assert.h"
-#include "common/env.h"
 
 namespace hytap {
 
 namespace metrics_internal {
 
-std::atomic<bool> g_enabled{EnvBool("HYTAP_METRICS", true)};
+std::atomic<bool> g_enabled{true};
 
 size_t ShardSlot() {
   static std::atomic<size_t> next{0};

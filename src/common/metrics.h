@@ -16,12 +16,13 @@ namespace hytap {
 /// Counters, gauges, and fixed-bucket histograms with stable names,
 /// registered once and updated lock-free from any thread. Metrics are pure
 /// observers: they never feed back into execution, so query results,
-/// IoStats, and fault schedules are bit-identical whether the knob is on or
-/// off (`parallel_equivalence_test` asserts this).
+/// IoStats, and fault schedules are bit-identical whether the switch is on
+/// or off (`parallel_equivalence_test` asserts this).
 ///
-/// The master switch is `HYTAP_METRICS` ("off"/"0"/"false" disable; default
-/// on). While disabled every update is a no-op behind one relaxed atomic
-/// load — the registry keeps its registrations but records nothing.
+/// The master switch (`SetMetricsEnabled`, default on) exists so the
+/// overhead bench can time each layer against its off state. While disabled
+/// every update is a no-op behind one relaxed atomic load — the registry
+/// keeps its registrations but records nothing.
 
 namespace metrics_internal {
 /// Shards per counter. Updates from the PR 1 thread pool land on
@@ -39,7 +40,7 @@ inline size_t ShardIndex() {
 }
 }  // namespace metrics_internal
 
-/// Master switch, initialized from HYTAP_METRICS (default on).
+/// Master switch (default on).
 inline bool MetricsEnabled() {
   return metrics_internal::g_enabled.load(std::memory_order_relaxed);
 }

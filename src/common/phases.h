@@ -74,12 +74,6 @@ struct PhaseVector {
   bool operator!=(const PhaseVector& other) const { return ns != other.ns; }
 };
 
-/// Process-wide switch for phase accounting (`HYTAP_PHASE_ACCOUNTING`,
-/// default on). When off, the executor skips filling `ExecOptions::phases`
-/// and the latency profiler ignores observations.
-bool PhaseAccountingEnabled();
-void SetPhaseAccountingEnabled(bool enabled);
-
 }  // namespace hytap
 
 #endif  // HYTAP_COMMON_PHASES_H_

@@ -76,7 +76,9 @@ ThreadPool& ThreadPool::Global() {
 
 size_t ThreadPool::DefaultWorkerCount() {
   const uint64_t threads = EnvU64("HYTAP_THREADS", 0);
-  if (threads >= 1) return static_cast<size_t>(threads);
+  if (threads >= 1 && threads <= 1024) {
+    return static_cast<size_t>(threads);
+  }
   const size_t hw = std::thread::hardware_concurrency();
   return std::max<size_t>(hw, 8);
 }

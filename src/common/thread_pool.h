@@ -71,7 +71,9 @@ class ThreadPool {
   /// HYTAP_THREADS environment override, else
   /// max(hardware_concurrency, 8). The floor keeps intra-query parallelism
   /// (and its race coverage under TSAN) real even on small CI machines; the
-  /// OS time-slices when cores are scarce.
+  /// OS time-slices when cores are scarce. The pool starts one OS thread
+  /// per worker but the caller, so an override above 1024 keeps the
+  /// default.
   static size_t DefaultWorkerCount();
 
   /// Helper threads owned by the pool (callers add one more).

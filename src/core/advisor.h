@@ -34,8 +34,8 @@ struct AdvisorOptions {
   /// calibrator alone changes nothing.
   const CostCalibrator* calibrator = nullptr;
   bool use_calibrated_params = false;
-  /// Deadline/worker knobs for AdvisorAlgorithm::kPortfolio (defaults read
-  /// HYTAP_SOLVER_BUDGET_MS / HYTAP_SOLVER_THREADS).
+  /// Deadline/worker knobs for AdvisorAlgorithm::kPortfolio (the worker
+  /// default reads HYTAP_SOLVER_THREADS).
   PortfolioOptions portfolio = PortfolioOptions::FromEnv();
 };
 

@@ -8,7 +8,7 @@ namespace hytap {
 
 namespace {
 
-/// Registry handles resolved once; Add() is gated on the HYTAP_METRICS knob.
+/// Registry handles resolved once; Add() is gated on MetricsEnabled().
 /// The predicted/observed pairs let dashboards track the cost-model error of
 /// the advisor's migration estimates.
 struct MigratorMetrics {

@@ -12,7 +12,7 @@ namespace hytap {
 
 namespace {
 
-/// Registry handles resolved once; updates gated on HYTAP_METRICS.
+/// Registry handles resolved once; updates gated on MetricsEnabled().
 struct DoctorMetrics {
   Gauge* regret_pct_milli;
   Gauge* misplaced_columns;
@@ -55,19 +55,14 @@ DoctorReport PlacementDoctor::Diagnose(const TieredTable& table) const {
       options_.use_calibrated_params ? report.fitted_params
                                      : options_.cost_params;
 
-  // Workload source: the monitor's recent windows when it saw queries
-  // (observed frequencies + selectivities); otherwise fall back to the
-  // plan cache so the doctor still works with the monitor knob off.
+  // The monitor's recent windows: observed frequencies + selectivities.
   Workload workload;
   if (report.queries_observed > 0) {
     workload = monitor.ToWorkload(table.table(), options_.recent_windows);
-    report.from_monitor = true;
     report.windows_used =
         options_.recent_windows == 0
             ? monitor.window_count()
             : std::min(options_.recent_windows, monitor.window_count());
-  } else {
-    workload = table.plan_cache().ToWorkload(table.table());
   }
 
   const std::vector<bool>& placement = table.table().placement();
@@ -162,8 +157,6 @@ DoctorReport PlacementDoctor::Diagnose(const TieredTable& table) const {
 std::string DoctorReport::ToText() const {
   std::ostringstream out;
   out << "placement doctor report\n";
-  out << "  workload source:    "
-      << (from_monitor ? "monitor windows" : "plan cache (fallback)") << "\n";
   out << "  windows used:       " << windows_used << "\n";
   out << "  queries observed:   " << queries_observed << "\n";
   out << "  drift:              " << TraceFormatDouble(drift) << "\n";
@@ -210,7 +203,6 @@ std::string DoctorReport::ToJson() const {
     out += value;
     if (quote) out += "\"";
   };
-  field("from_monitor", from_monitor ? "true" : "false", false);
   field("windows_used", std::to_string(windows_used), false);
   field("queries_observed", std::to_string(queries_observed), false);
   field("drift", TraceFormatDouble(drift), false);

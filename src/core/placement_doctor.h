@@ -51,9 +51,6 @@ struct MisplacedColumn {
 /// F(recommended) at the same DRAM budget on the observed workload — plus
 /// the top-k misplaced columns.
 struct DoctorReport {
-  /// Workload source: true = monitor windows (observed selectivities),
-  /// false = plan-cache fallback (monitor saw no queries).
-  bool from_monitor = false;
   size_t windows_used = 0;
   uint64_t queries_observed = 0;
   /// Window-over-window drift of the monitor at diagnosis time.

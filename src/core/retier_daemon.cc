@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/assert.h"
-#include "common/env.h"
 #include "common/flight_recorder.h"
 #include "common/metrics.h"
 #include "selection/cost_model.h"
@@ -13,7 +12,7 @@ namespace hytap {
 
 namespace {
 
-/// Registry handles resolved once; updates gated on HYTAP_METRICS.
+/// Registry handles resolved once; updates gated on MetricsEnabled().
 struct RetierMetrics {
   Counter* ticks;
   Counter* evaluations;
@@ -95,32 +94,6 @@ uint64_t PendingCount(const RetierPlan& plan) {
 }
 
 }  // namespace
-
-RetierOptions RetierOptions::FromEnv() {
-  RetierOptions options;
-  options.drift_threshold =
-      EnvDouble("HYTAP_RETIER_DRIFT", options.drift_threshold);
-  options.min_improvement_pct =
-      EnvDouble("HYTAP_RETIER_DEADBAND_PCT", options.min_improvement_pct);
-  options.dwell_windows =
-      EnvU64("HYTAP_RETIER_DWELL_WINDOWS", options.dwell_windows);
-  options.periodic_windows =
-      EnvU64("HYTAP_RETIER_PERIOD_WINDOWS", options.periodic_windows);
-  options.bytes_per_window =
-      EnvU64("HYTAP_RETIER_BYTES_PER_WINDOW", options.bytes_per_window);
-  options.budget_bytes =
-      EnvDouble("HYTAP_RETIER_BUDGET_BYTES", options.budget_bytes);
-  options.recent_windows = size_t(
-      EnvU64("HYTAP_RETIER_RECENT_WINDOWS", options.recent_windows));
-  options.beta = EnvDouble("HYTAP_RETIER_BETA", options.beta);
-  options.amortization_windows =
-      EnvU64("HYTAP_RETIER_AMORT_WINDOWS", options.amortization_windows);
-  options.use_calibrated_params =
-      EnvBool("HYTAP_RETIER_CALIBRATED", options.use_calibrated_params);
-  options.use_portfolio =
-      EnvBool("HYTAP_RETIER_PORTFOLIO", options.use_portfolio);
-  return options;
-}
 
 RetierDaemon::RetierDaemon(TieredTable* table, RetierOptions options)
     : table_(table), options_(std::move(options)), migrator_(0) {
@@ -403,8 +376,8 @@ RetierTickReport RetierDaemon::Tick() {
   } else if (state_ == RetierState::kMigrating) {
     ExecuteSteps(window, &report);
     report.reason = report.plan_completed ? "completed" : "migrating";
-  } else if (!WorkloadMonitorEnabled() || monitor.queries_observed() == 0) {
-    report.reason = "monitor-off";
+  } else if (monitor.queries_observed() == 0) {
+    report.reason = "no-queries";
   } else {
     std::string reason;
     if (ShouldEvaluate(window, report.drift, &reason)) {

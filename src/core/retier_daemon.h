@@ -13,8 +13,7 @@
 
 namespace hytap {
 
-/// Re-tiering daemon configuration (DESIGN.md §14). Every default reads the
-/// matching HYTAP_RETIER_* knob via FromEnv().
+/// Re-tiering daemon configuration (DESIGN.md §14).
 struct RetierOptions {
   /// TV-distance drift (WorkloadMonitor::Drift) that triggers a
   /// re-evaluation of the placement.
@@ -52,14 +51,6 @@ struct RetierOptions {
   PortfolioOptions portfolio = PortfolioOptions::FromEnv();
   /// Columns the DBA pins in DRAM; the daemon adds quarantined columns.
   std::vector<ColumnId> pinned_columns;
-
-  /// Reads HYTAP_RETIER_DRIFT, HYTAP_RETIER_DEADBAND_PCT,
-  /// HYTAP_RETIER_DWELL_WINDOWS, HYTAP_RETIER_PERIOD_WINDOWS,
-  /// HYTAP_RETIER_BYTES_PER_WINDOW, HYTAP_RETIER_BUDGET_BYTES,
-  /// HYTAP_RETIER_RECENT_WINDOWS, HYTAP_RETIER_BETA,
-  /// HYTAP_RETIER_AMORT_WINDOWS, HYTAP_RETIER_CALIBRATED and
-  /// HYTAP_RETIER_PORTFOLIO.
-  static RetierOptions FromEnv();
 };
 
 enum class RetierState : uint8_t { kIdle = 0, kMigrating = 1 };
@@ -124,7 +115,7 @@ struct RetierTickReport {
   uint64_t steps_quarantined = 0;
   uint64_t window_bytes = 0;  // bytes migrated in this window so far
   /// Why the tick did what it did ("idle", "drift", "periodic", "dwell",
-  /// "deadband", "converged", "migrating", "monitor-off", "aborted").
+  /// "deadband", "converged", "migrating", "no-queries", "aborted").
   std::string reason;
 };
 
@@ -145,8 +136,7 @@ struct RetierTickReport {
 /// stay bit-identical at 1/2/4 threads with the daemon on.
 class RetierDaemon {
  public:
-  explicit RetierDaemon(TieredTable* table,
-                        RetierOptions options = RetierOptions::FromEnv());
+  explicit RetierDaemon(TieredTable* table, RetierOptions options = {});
 
   RetierDaemon(const RetierDaemon&) = delete;
   RetierDaemon& operator=(const RetierDaemon&) = delete;

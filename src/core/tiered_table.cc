@@ -97,7 +97,7 @@ Status TieredTable::MergeDelta() {
 }
 
 SessionManager& TieredTable::EnableServing() {
-  return EnableServing(SessionOptions::FromEnv());
+  return EnableServing(SessionOptions{});
 }
 
 SessionManager& TieredTable::EnableServing(const SessionOptions& options) {

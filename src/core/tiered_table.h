@@ -32,8 +32,8 @@ struct TieredTableOptions {
   double probe_threshold = 1e-4;
   uint64_t timing_seed = 42;
   /// Workload-monitor geometry (ring capacity / window width on the
-  /// simulated clock); defaults honor HYTAP_WORKLOAD_WINDOWS/HYTAP_WINDOW_NS.
-  WorkloadMonitor::Options monitor = WorkloadMonitor::Options::FromEnv();
+  /// simulated clock).
+  WorkloadMonitor::Options monitor;
 };
 
 /// Owning facade that wires a Table to its transaction manager, secondary
@@ -65,7 +65,7 @@ class TieredTable {
 
   /// Executes without recording the query in the plan cache (benchmark
   /// warmups). The executor still records it in the workload monitor (and
-  /// through it the cost calibrator) while the monitor knob is on.
+  /// through it the cost calibrator) while the monitor is attached.
   QueryResult ExecuteUnrecorded(const Transaction& txn, const Query& query,
                                 uint32_t threads = 1) const {
     return executor_->Execute(txn, query, threads);
@@ -73,9 +73,9 @@ class TieredTable {
 
   /// Records one finished execution into the workload monitor and plan
   /// cache under one mutex. `obs_filled` = the executor produced an
-  /// observation (monitor attached + knob on). The serving layer calls this
-  /// in ticket order; the synchronous Execute() path uses it too, so both
-  /// paths feed the PR 5 window series identically.
+  /// observation (monitor attached). The serving layer calls this in ticket
+  /// order; the synchronous Execute() path uses it too, so both paths feed
+  /// the monitor's window series identically.
   void RecordExecution(const Query& query, const QueryObservation& obs,
                        bool obs_filled);
 

@@ -13,8 +13,7 @@ namespace hytap {
 
 namespace {
 
-/// Registry handles resolved once; updates are gated on the HYTAP_METRICS
-/// knob.
+/// Registry handles resolved once; updates are gated on MetricsEnabled().
 struct QueryMetrics {
   Counter* queries;
   Counter* query_failures;
@@ -825,10 +824,10 @@ QueryResult QueryExecutor::Run(const Transaction& txn, const Query& query,
     result.candidate_trace.clear();
   }
   // The views below read only the finished record and result — never feed
-  // back into execution — so attaching a monitor, enabling phase accounting
-  // or tracing cannot change results, IO counters or fault schedules.
+  // back into execution — so attaching a monitor, asking for phases or
+  // tracing cannot change results, IO counters or fault schedules.
   record.CountMetrics(*table_, result);
-  if (monitor_ != nullptr && WorkloadMonitorEnabled()) {
+  if (monitor_ != nullptr) {
     QueryObservation obs_storage;
     QueryObservation* obs =
         opts.observation != nullptr ? opts.observation : &obs_storage;
@@ -842,7 +841,7 @@ QueryResult QueryExecutor::Run(const Transaction& txn, const Query& query,
       monitor_->Record(*obs);
     }
   }
-  if (opts.phases != nullptr && PhaseAccountingEnabled()) {
+  if (opts.phases != nullptr) {
     record.FillPhases(result.io, opts.phases);
   }
   if (trace) {

@@ -60,17 +60,17 @@ struct ExecOptions {
   /// Bounds delta-partition scans to the first `delta_limit` rows (the delta
   /// size at submit time; rows beyond it are invisible to the snapshot).
   size_t delta_limit = SIZE_MAX;
-  /// When non-null and a monitor is attached + enabled, Execute() fills this
+  /// When non-null and a monitor is attached, Execute() fills this
   /// observation and sets *observation_filled instead of recording into the
   /// monitor — the serving layer replays observations in ticket order so the
   /// monitor's windows stay deterministic under concurrency.
   QueryObservation* observation = nullptr;
   bool* observation_filled = nullptr;
-  /// When non-null and `PhaseAccountingEnabled()`, Execute() fills the
-  /// per-phase decomposition of this query's simulated cost. The vector is
-  /// derived purely from `result.io` at the pass boundaries, so its sum
-  /// equals `result.io.TotalNs()` exactly — on success, cancellation, and
-  /// fault paths alike (see DESIGN.md §17).
+  /// When non-null, Execute() fills the per-phase decomposition of this
+  /// query's simulated cost. The vector is derived purely from `result.io`
+  /// at the pass boundaries, so its sum equals `result.io.TotalNs()`
+  /// exactly — on success, cancellation, and fault paths alike (see
+  /// DESIGN.md §17).
   PhaseVector* phases = nullptr;
 };
 
@@ -126,10 +126,10 @@ class QueryExecutor {
   std::vector<size_t> PredicateOrder(const Query& query) const;
 
   /// Attaches a workload monitor (not owned; pass null to detach). While
-  /// attached and `WorkloadMonitorEnabled()`, Execute() writes one
-  /// QueryObservation per query from its step record — a pure observer of
-  /// finished results and IoStats, so execution stays bit-identical with or
-  /// without it — and feeds it to the monitor.
+  /// attached, Execute() writes one QueryObservation per query from its
+  /// step record — a pure observer of finished results and IoStats, so
+  /// execution stays bit-identical with or without it — and feeds it to the
+  /// monitor.
   void set_monitor(WorkloadMonitor* monitor) { monitor_ = monitor; }
   WorkloadMonitor* monitor() const { return monitor_; }
 

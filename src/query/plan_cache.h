@@ -13,17 +13,6 @@
 
 namespace hytap {
 
-/// Per-template statistics: execution count (b_j) plus observed-selectivity
-/// accumulators aligned with the template's (sorted) column set.
-struct TemplateStats {
-  uint64_t count = 0;
-  /// Sum of observed per-column selectivities and how many step samples
-  /// contributed, indexed like the template key. Empty until the first
-  /// RecordObserved (plain Record carries no measurements).
-  std::vector<double> selectivity_sum;
-  std::vector<uint64_t> selectivity_samples;
-};
-
 /// Records executed query templates for workload-driven column selection
 /// (paper §I-B: "We separate attributes ... by analyzing the database's plan
 /// cache"). A template is identified by the set of filtered columns; the
@@ -33,9 +22,7 @@ struct TemplateStats {
 ///
 /// Thread-safe: recording and the exporting readers serialize on an internal
 /// mutex, so concurrent serving sessions can record while a re-tiering pass
-/// exports the workload. `templates()` is the one lock-free accessor — it
-/// hands out a reference, so its callers must be quiesced (no concurrent
-/// recording).
+/// exports the workload.
 class PlanCache {
  public:
   PlanCache() = default;
@@ -66,16 +53,21 @@ class PlanCache {
   /// means where available (falling back to the table-static estimate).
   Workload ToWorkload(const Table& table) const;
 
-  /// Raw per-template statistics (key = sorted filtered-column set).
-  /// Unlocked: callers must be quiesced (no serving sessions recording
-  /// concurrently).
-  const std::map<std::vector<ColumnId>, TemplateStats>& templates() const {
-    return templates_;
-  }
-
   void Clear();
 
  private:
+  /// Per-template statistics: execution count (b_j) plus observed-
+  /// selectivity accumulators aligned with the template's (sorted) column
+  /// set.
+  struct TemplateStats {
+    uint64_t count = 0;
+    /// Sum of observed per-column selectivities and how many step samples
+    /// contributed, indexed like the template key. Empty until the first
+    /// RecordObserved (plain Record carries no measurements).
+    std::vector<double> selectivity_sum;
+    std::vector<uint64_t> selectivity_samples;
+  };
+
   // Key: sorted, deduplicated filtered-column set.
   std::map<std::vector<ColumnId>, TemplateStats> templates_;
   uint64_t total_ = 0;

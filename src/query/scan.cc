@@ -22,7 +22,7 @@ uint64_t MrcScanCostNs(const AbstractColumn* column) {
   return bytes / kDramScanBytesPerNs + 1;
 }
 
-/// Registry handles resolved once; Add() is gated on the HYTAP_METRICS knob.
+/// Registry handles resolved once; Add() is gated on MetricsEnabled().
 struct ScanMetrics {
   Counter* morsels_scanned;
   Counter* morsels_pruned;

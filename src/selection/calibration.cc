@@ -14,7 +14,7 @@ std::vector<uint64_t> ResidualRatioBuckets() {
   return {10, 25, 50, 75, 90, 100, 110, 125, 150, 200, 400, 1000};
 }
 
-/// Registry handles resolved once; updates gated on HYTAP_METRICS.
+/// Registry handles resolved once; updates gated on MetricsEnabled().
 struct CalibrationMetrics {
   Counter* samples;
   HistogramMetric* dram_ratio_pct;

@@ -25,22 +25,30 @@ void AppendF(std::string* out, const char* fmt, ...) {
   if (n > 0) out->append(buffer, std::min<size_t>(size_t(n), sizeof(buffer)));
 }
 
-/// Per-(class, phase) latency histograms plus the profiler counters,
+/// Per-(class, phase) latency histograms plus the phase and SLO counters,
 /// registered once and updated lock-free afterward.
-struct PhaseMetrics {
+struct ProfilerMetrics {
   Counter* observations;
   Counter* attributions;
   Counter* attributions_dropped;
+  Counter* slo_observations;
+  Counter* slo_violations;
+  Counter* slo_breaches;
+  Counter* slo_clears;
   HistogramMetric* phase_ns[kQueryClassCount][kQueryPhaseCount];
 
-  static PhaseMetrics& Get() {
-    static PhaseMetrics m = [] {
+  static ProfilerMetrics& Get() {
+    static ProfilerMetrics m = [] {
       MetricsRegistry& reg = MetricsRegistry::Global();
-      PhaseMetrics out;
+      ProfilerMetrics out;
       out.observations = reg.GetCounter("hytap_phase_observations_total");
       out.attributions = reg.GetCounter("hytap_phase_attributions_total");
       out.attributions_dropped =
           reg.GetCounter("hytap_phase_attributions_dropped_total");
+      out.slo_observations = reg.GetCounter("hytap_slo_observations_total");
+      out.slo_violations = reg.GetCounter("hytap_slo_violations_total");
+      out.slo_breaches = reg.GetCounter("hytap_slo_breaches_total");
+      out.slo_clears = reg.GetCounter("hytap_slo_clears_total");
       const std::vector<uint64_t> bounds = DurationNsBuckets();
       for (size_t c = 0; c < kQueryClassCount; ++c) {
         for (size_t p = 0; p < kQueryPhaseCount; ++p) {
@@ -54,23 +62,6 @@ struct PhaseMetrics {
       }
       return out;
     }();
-    return m;
-  }
-};
-
-/// SLO counters, kept apart from PhaseMetrics: the SLO fold also runs while
-/// phase accounting is off, when no hytap_phase_* family is registered.
-struct SloMetrics {
-  Counter* observations;
-  Counter* violations;
-  Counter* breaches;
-  Counter* clears;
-  static SloMetrics& Get() {
-    MetricsRegistry& reg = MetricsRegistry::Global();
-    static SloMetrics m{reg.GetCounter("hytap_slo_observations_total"),
-                        reg.GetCounter("hytap_slo_violations_total"),
-                        reg.GetCounter("hytap_slo_breaches_total"),
-                        reg.GetCounter("hytap_slo_clears_total")};
     return m;
   }
 };
@@ -115,20 +106,8 @@ std::vector<LatencyProfiler::CriticalStep> WalkCriticalPath(
 LatencyProfiler::Options LatencyProfiler::Options::FromEnv() {
   Options options;
   options.oltp_slo_ns = EnvU64("HYTAP_SLO_OLTP_NS", options.oltp_slo_ns);
-  options.olap_slo_ns = EnvU64("HYTAP_SLO_OLAP_NS", options.olap_slo_ns);
   options.target_ppm = std::min<uint64_t>(
       EnvU64("HYTAP_SLO_TARGET_PPM", options.target_ppm), 999'999);
-  options.burn_threshold =
-      EnvDouble("HYTAP_SLO_BURN_THRESHOLD", options.burn_threshold);
-  options.fast_windows = std::max<size_t>(
-      1, EnvU64("HYTAP_SLO_FAST_WINDOWS", options.fast_windows));
-  options.slow_windows = std::max<size_t>(
-      options.fast_windows,
-      EnvU64("HYTAP_SLO_SLOW_WINDOWS", options.slow_windows));
-  options.min_tail_samples =
-      EnvU64("HYTAP_PHASE_MIN_TAIL_SAMPLES", options.min_tail_samples);
-  options.max_attributions = size_t(
-      EnvU64("HYTAP_PHASE_MAX_ATTRIBUTIONS", options.max_attributions));
   return options;
 }
 
@@ -151,10 +130,9 @@ void LatencyProfiler::Observe(uint64_t ticket, QueryClass cls,
                               uint64_t sim_ns) {
   HYTAP_ASSERT(executed || latency_ns == 0,
                "non-executed tickets accrue no simulated time");
-  const bool phases_on = PhaseAccountingEnabled();
   // The invariant the phase fold rests on: the phase vector partitions the
   // ticket's end-to-end simulated latency exactly, on every terminal path.
-  HYTAP_ASSERT(!phases_on || phases.Sum() == latency_ns,
+  HYTAP_ASSERT(phases.Sum() == latency_ns,
                "phase vector must sum to the simulated latency");
   // One verdict for both folds: it burns SLO budget and marks a tail ticket.
   const bool slo_breach =
@@ -166,9 +144,8 @@ void LatencyProfiler::Observe(uint64_t ticket, QueryClass cls,
   if (status != StatusCode::kCancelled) {
     ObserveSloLocked(cls, slo_breach, window, sim_ns, ticket);
   }
-  if (!phases_on) return;
 
-  PhaseMetrics& metrics = PhaseMetrics::Get();
+  ProfilerMetrics& metrics = ProfilerMetrics::Get();
   metrics.observations->Add();
   ClassState& state = classes_[static_cast<size_t>(cls)];
   ++state.observations;
@@ -249,7 +226,7 @@ void LatencyProfiler::Observe(uint64_t ticket, QueryClass cls,
 void LatencyProfiler::ObserveSloLocked(QueryClass cls, bool bad,
                                        uint64_t window, uint64_t sim_ns,
                                        uint64_t ticket) {
-  SloMetrics& metrics = SloMetrics::Get();
+  ProfilerMetrics& metrics = ProfilerMetrics::Get();
   ClassState& state = classes_[static_cast<size_t>(cls)];
   if (state.windows.empty() || state.windows.back().index < window) {
     state.windows.push_back(WindowBucket{window, 0, 0});
@@ -261,12 +238,12 @@ void LatencyProfiler::ObserveSloLocked(QueryClass cls, bool bad,
   if (bad) {
     ++bucket.bad;
     ++state.violations;
-    metrics.violations->Add();
+    metrics.slo_violations->Add();
   } else {
     ++bucket.good;
   }
   ++state.slo_observations;
-  metrics.observations->Add();
+  metrics.slo_observations->Add();
 
   state.fast_burn = BurnOver(state, options_.fast_windows);
   state.slow_burn = BurnOver(state, options_.slow_windows);
@@ -275,7 +252,7 @@ void LatencyProfiler::ObserveSloLocked(QueryClass cls, bool bad,
   if (breached && !state.breached) {
     state.breached = true;
     ++state.breaches;
-    metrics.breaches->Add();
+    metrics.slo_breaches->Add();
     const uint64_t burn_milli = uint64_t(BurnMilli(state.fast_burn));
     FlightRecorder::Global().Record(
         FlightEventType::kSloBreach, static_cast<uint16_t>(window & 0xffff),
@@ -287,7 +264,7 @@ void LatencyProfiler::ObserveSloLocked(QueryClass cls, bool bad,
   } else if (!breached && state.breached) {
     state.breached = false;
     ++state.clears;
-    metrics.clears->Add();
+    metrics.slo_clears->Add();
     FlightRecorder::Global().Record(FlightEventType::kSloClear, 0, ticket,
                                     window, sim_ns,
                                     static_cast<uint64_t>(cls));

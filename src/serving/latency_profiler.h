@@ -18,7 +18,7 @@
 //   (newest fast_windows windows) and the slow span (newest slow_windows)
 //   burn at >= burn_threshold times budget. A breach fires a kSloBreach
 //   flight event and an anomaly-triggered dump; recovery fires kSloClear.
-// - Phase attribution, while PhaseAccountingEnabled(). Per-class phase
+// - Phase attribution, always. Per-class phase
 //   histograms and, for tail tickets (over the class objective, failed, or
 //   at/above the running interpolated p99), an *attribution*: phases ranked
 //   by charge plus a critical-path walk down the trace tree (the child with
@@ -45,28 +45,27 @@ class LatencyProfiler {
  public:
   struct Options {
     /// Latency objectives per class (simulated ns): a ticket over its class
-    /// objective burns SLO budget and is a tail ticket
-    /// (HYTAP_SLO_OLTP_NS / HYTAP_SLO_OLAP_NS).
+    /// objective burns SLO budget and is a tail ticket. The OLTP objective
+    /// reads HYTAP_SLO_OLTP_NS in FromEnv().
     uint64_t oltp_slo_ns = 2'000'000;      // 2 ms
     uint64_t olap_slo_ns = 2'000'000'000;  // 2 s
-    /// Availability target in good-ticket ppm (HYTAP_SLO_TARGET_PPM,
-    /// default 999000 = 99.9 %, at most 999999).
+    /// Availability target in good-ticket ppm (HYTAP_SLO_TARGET_PPM in
+    /// FromEnv(); default 999000 = 99.9 %, at most 999999).
     uint64_t target_ppm = 999'000;
-    /// Breach when fast AND slow burn rates are >= this multiple of budget
-    /// (HYTAP_SLO_BURN_THRESHOLD).
+    /// Breach when fast AND slow burn rates are >= this multiple of budget.
     double burn_threshold = 1.0;
-    /// Window spans of the two burn evaluations (HYTAP_SLO_FAST_WINDOWS /
-    /// HYTAP_SLO_SLOW_WINDOWS, min 1 each, slow at least fast).
+    /// Window spans of the two burn evaluations (min 1 each, slow at least
+    /// fast).
     size_t fast_windows = 1;
     size_t slow_windows = 8;
     /// Executed samples a class needs before the running-p99 tail criterion
-    /// arms (HYTAP_PHASE_MIN_TAIL_SAMPLES). The SLO-breach criterion is
-    /// always armed.
+    /// arms. The SLO-breach criterion is always armed.
     uint64_t min_tail_samples = 16;
-    /// Retained attribution cap (HYTAP_PHASE_MAX_ATTRIBUTIONS); beyond it
-    /// attributions are counted as dropped, never silently discarded.
+    /// Retained attribution cap; beyond it attributions are counted as
+    /// dropped, never silently discarded.
     size_t max_attributions = 64;
 
+    /// The defaults with HYTAP_SLO_OLTP_NS and HYTAP_SLO_TARGET_PPM applied.
     static Options FromEnv();
   };
 
@@ -97,7 +96,7 @@ class LatencyProfiler {
 
   /// Per-class point-in-time aggregate for tests/CLIs.
   struct ClassSnapshot {
-    /// Phase fold, counted only while phase accounting is on.
+    /// Phase fold.
     uint64_t observations = 0;  // all terminal tickets
     uint64_t executed = 0;      // completed an execution (ok or failed)
     uint64_t shed = 0;          // terminal without executing (shed or
@@ -113,7 +112,7 @@ class LatencyProfiler {
     uint64_t latency_p50_ns = 0;
     uint64_t latency_p99_ns = 0;
     uint64_t latency_p999_ns = 0;
-    /// SLO state, kept whether or not phase accounting is on.
+    /// SLO state.
     uint64_t slo_observations = 0;  // judged tickets (all but cancellations)
     uint64_t violations = 0;        // bad tickets (failed, shed, or slow)
     double fast_burn = 0.0;
@@ -130,8 +129,7 @@ class LatencyProfiler {
   /// tickets shed or cancelled while still queued — their phase vector is
   /// all-zero and their latency 0. `window` is the workload-monitor window
   /// index at record time (windows_started()) and buckets SLO verdicts;
-  /// with `sim_ns` it stamps flight events. The phase fold is skipped when
-  /// `PhaseAccountingEnabled()` is off.
+  /// with `sim_ns` it stamps flight events.
   void Observe(uint64_t ticket, QueryClass cls, StatusCode status,
                bool executed, uint64_t latency_ns, const PhaseVector& phases,
                const TraceSpan* trace, uint64_t window, uint64_t sim_ns);

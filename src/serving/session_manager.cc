@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/assert.h"
-#include "common/env.h"
 #include "common/flight_recorder.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
@@ -21,8 +20,7 @@ namespace {
 /// section (idle re-tier tick); see SessionManager::InExclusiveWrite().
 thread_local bool t_in_exclusive_write = false;
 
-/// Registry handles resolved once; updates are gated on the HYTAP_METRICS
-/// knob.
+/// Registry handles resolved once; updates are gated on MetricsEnabled().
 struct SessionMetrics {
   Counter* submitted;
   Counter* admitted;
@@ -77,25 +75,6 @@ uint64_t EffectiveDeadline(const QuerySession& s) {
 }
 
 }  // namespace
-
-SessionOptions SessionOptions::FromEnv() {
-  // Every size knob here must be >= 1; zero keeps the default.
-  auto size = [](const char* name, size_t fallback) {
-    const uint64_t value = EnvU64(name, fallback);
-    return value >= 1 ? size_t(value) : fallback;
-  };
-  SessionOptions options;
-  options.max_sessions = size("HYTAP_MAX_SESSIONS", options.max_sessions);
-  options.queue_capacity =
-      size("HYTAP_SESSION_QUEUE_CAP", options.queue_capacity);
-  options.default_threads =
-      uint32_t(size("HYTAP_SESSION_THREADS", options.default_threads));
-  options.session_frames =
-      size("HYTAP_SESSION_FRAMES", options.session_frames);
-  options.retier_on_idle =
-      EnvBool("HYTAP_RETIER_ON_IDLE", options.retier_on_idle);
-  return options;
-}
 
 QueryResult QuerySession::Await() {
   std::unique_lock<std::mutex> lock(mutex_);
@@ -297,18 +276,18 @@ void SessionManager::WorkerLoop() {
                                       s->ticket_, 0, 0, uint64_t(s->class_));
       RunSession(s, dispatch_index);
     }
-    bool idle = false;
+    bool tick = false;
     {
       std::lock_guard<std::mutex> lock(submit_mutex_);
       --in_flight_;
       metrics.inflight->Set(int64_t(in_flight_));
       if (queued_count_ == 0 && in_flight_ == 0) {
         drain_cv_.notify_all();
-        idle = true;
+        tick = retier_ != nullptr;
       }
     }
-    // retier_ is re-checked under the submit mutex inside TryIdleTick.
-    if (idle && options_.retier_on_idle) TryIdleTick();
+    // TryIdleTick re-checks idleness and retier_ under the submit mutex.
+    if (tick) TryIdleTick();
   }
 }
 
@@ -372,8 +351,7 @@ void SessionManager::RunSession(const SessionHandle& s,
   SecondaryStore::ReadStream stream = table_->store().MakeStream(s->ticket_);
   private_cache.set_stream(&stream);
 
-  // The flush's view of this execution. Its phase vector stays all-zero
-  // (the executor skips it) when HYTAP_PHASE_ACCOUNTING is off.
+  // The flush's view of this execution.
   RecordItem item;
   ExecOptions eopts;
   eopts.threads = s->threads_;

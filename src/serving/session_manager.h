@@ -31,25 +31,17 @@ inline constexpr size_t kQueryClassCount = 2;
 
 /// Serving-layer configuration (DESIGN.md §15).
 struct SessionOptions {
-  /// Maximum concurrently executing queries — the serving worker count
-  /// (HYTAP_MAX_SESSIONS, default 4).
+  /// Maximum concurrently executing queries — the serving worker count.
   size_t max_sessions = 4;
   /// Bounded admission queue: Submit() rejects with kResourceExhausted once
-  /// this many queries are waiting (HYTAP_SESSION_QUEUE_CAP, default 256).
+  /// this many queries are waiting.
   size_t queue_capacity = 256;
-  /// Default ParallelFor width per query when SubmitOptions::threads is 0
-  /// (HYTAP_SESSION_THREADS, default 1).
+  /// Default ParallelFor width per query when SubmitOptions::threads is 0.
   uint32_t default_threads = 1;
-  /// Frames in each query's private page cache (HYTAP_SESSION_FRAMES,
-  /// default 64). Private cold caches are what make a query's IoStats a pure
-  /// function of its ticket — see the determinism note on SessionManager.
+  /// Frames in each query's private page cache. Private cold caches are
+  /// what make a query's IoStats a pure function of its ticket — see the
+  /// determinism note on SessionManager.
   size_t session_frames = 64;
-  /// Drive the attached re-tiering daemon's Tick() from workers' idle
-  /// periods — at most once per workload-monitor window, so tick placement
-  /// is deterministic by window index (HYTAP_RETIER_ON_IDLE, default off).
-  bool retier_on_idle = false;
-
-  static SessionOptions FromEnv();
 };
 
 /// Per-submission options.
@@ -182,8 +174,10 @@ class SessionManager {
   /// is on) — so its SLO state and phase reports are deterministic across
   /// worker counts.
   void set_latency_profiler(LatencyProfiler* profiler);
-  /// Attaches a re-tiering daemon (not owned; null detaches) ticked from
-  /// workers' idle periods when options().retier_on_idle is set.
+  /// Attaches a re-tiering daemon (not owned; null detaches). While
+  /// attached, a worker that leaves the queue empty and nothing in flight
+  /// ticks it — at most once per workload-monitor window, so tick placement
+  /// is deterministic by window index.
   void set_retier_daemon(RetierDaemon* daemon);
 
   /// True while the calling thread runs a structural write from inside the
@@ -227,10 +221,10 @@ class SessionManager {
     Query query;
     QueryObservation obs;
     bool obs_filled = false;
-    /// Phase decomposition of the execution (all-zero when it never ran or
-    /// phase accounting is off) and the execution's total simulated ns —
-    /// the one latency every consumer reads; phases.Sum() == exec_sim_ns is
-    /// the profiler's core invariant.
+    /// Phase decomposition of the execution (all-zero when it never ran)
+    /// and the execution's total simulated ns — the one latency every
+    /// consumer reads; phases.Sum() == exec_sim_ns is the profiler's core
+    /// invariant.
     PhaseVector phases;
     uint64_t exec_sim_ns = 0;
     /// Trace tree for tail critical-path walks (null unless tracing is on).
@@ -272,7 +266,8 @@ class SessionManager {
 
   /// Fed from the flush under record_mutex_ (null = detached).
   LatencyProfiler* profiler_ = nullptr;
-  /// Ticked from idle workers when options_.retier_on_idle (null = off).
+  /// Ticked from idle workers while attached (guarded by submit_mutex_;
+  /// null = off).
   RetierDaemon* retier_ = nullptr;
   /// Monitor window of the last idle tick (guarded by submit_mutex_;
   /// windows_started() starts at 1, so 0 = never ticked).

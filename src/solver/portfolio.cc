@@ -264,7 +264,6 @@ std::unique_ptr<PlacementSolver> MakeGreedySolver(const KnapsackView* view) {
 
 PortfolioOptions PortfolioOptions::FromEnv() {
   PortfolioOptions options;
-  options.budget_ms = EnvDouble("HYTAP_SOLVER_BUDGET_MS", options.budget_ms);
   options.workers =
       uint32_t(EnvU64("HYTAP_SOLVER_THREADS", options.workers));
   return options;

@@ -132,8 +132,7 @@ struct PortfolioOptions {
   bool run_explicit = true;
   bool run_greedy = true;
 
-  /// Reads HYTAP_SOLVER_BUDGET_MS (unset or <= 0: unlimited) and
-  /// HYTAP_SOLVER_THREADS (unset: pool default).
+  /// The defaults with HYTAP_SOLVER_THREADS (unset: pool default) applied.
   static PortfolioOptions FromEnv();
 };
 

@@ -18,7 +18,7 @@ bool InRange(const Value& v, const Value* lo, const Value* hi) {
   return true;
 }
 
-/// Registry handles resolved once; Add() is gated on the HYTAP_METRICS knob.
+/// Registry handles resolved once; Add() is gated on MetricsEnabled().
 struct SscgMetrics {
   Counter* pages_scanned;
   Counter* pages_pruned;

@@ -7,8 +7,8 @@ namespace hytap {
 
 namespace {
 
-/// Registry handles resolved once; Add() itself is gated on the
-/// HYTAP_METRICS knob.
+/// Registry handles resolved once; Add() itself is gated on
+/// MetricsEnabled().
 struct BufferMetrics {
   Counter* hits;
   Counter* misses;

@@ -20,10 +20,7 @@ FaultConfig FaultConfig::FromEnv() {
     return std::clamp(EnvDouble(name, 0.0), 0.0, 1.0);
   };
   config.read_error_rate = rate("HYTAP_FAULT_READ_ERROR_RATE");
-  config.page_failure_rate = rate("HYTAP_FAULT_PAGE_FAILURE_RATE");
-  config.read_corruption_rate = rate("HYTAP_FAULT_READ_CORRUPTION_RATE");
   config.write_corruption_rate = rate("HYTAP_FAULT_WRITE_CORRUPTION_RATE");
-  config.latency_spike_rate = rate("HYTAP_FAULT_LATENCY_SPIKE_RATE");
   return config;
 }
 

@@ -43,10 +43,9 @@ struct FaultConfig {
   /// True if any injection rate is non-zero.
   bool AnyFaults() const;
 
-  /// Reads HYTAP_FAULT_SEED, HYTAP_FAULT_READ_ERROR_RATE,
-  /// HYTAP_FAULT_PAGE_FAILURE_RATE, HYTAP_FAULT_READ_CORRUPTION_RATE,
-  /// HYTAP_FAULT_WRITE_CORRUPTION_RATE and HYTAP_FAULT_LATENCY_SPIKE_RATE
-  /// from the environment (unset = 0, i.e. disabled).
+  /// Reads HYTAP_FAULT_SEED, HYTAP_FAULT_READ_ERROR_RATE and
+  /// HYTAP_FAULT_WRITE_CORRUPTION_RATE from the environment (unset = 0,
+  /// i.e. disabled); the other rates stay 0.
   static FaultConfig FromEnv();
 };
 

@@ -5,7 +5,6 @@
 
 #include "common/assert.h"
 #include "common/crc32.h"
-#include "common/env.h"
 #include "common/flight_recorder.h"
 #include "common/metrics.h"
 
@@ -22,8 +21,8 @@ std::string PageMessage(const char* what, PageId id) {
 /// latency-spike); 5 marks a silent write corruption.
 constexpr uint16_t kFlightCodeCorruptWrite = 5;
 
-/// Registry handles resolved once; Add()/Observe() are gated on the
-/// HYTAP_METRICS knob.
+/// Registry handles resolved once; Add()/Observe() are gated on
+/// MetricsEnabled().
 struct StoreMetrics {
   Counter* reads;
   Counter* read_failures;
@@ -71,18 +70,12 @@ struct StoreMetrics {
 
 }  // namespace
 
-uint32_t SecondaryStore::DefaultMaxReadRetries() {
-  const uint64_t value = EnvU64("HYTAP_MAX_READ_RETRIES", 4);
-  return value <= 64 ? uint32_t(value) : 4;
-}
-
 SecondaryStore::SecondaryStore(DeviceKind device, uint64_t timing_seed,
                                FaultConfig fault_config)
     : device_(device),
       timing_seed_(timing_seed),
       fault_config_(fault_config),
-      timing_rng_(timing_seed),
-      max_read_retries_(DefaultMaxReadRetries()) {
+      timing_rng_(timing_seed) {
   if (fault_config.AnyFaults()) {
     injector_ = std::make_unique<FaultInjector>(fault_config);
   }

@@ -98,8 +98,8 @@ class SecondaryStore {
   /// Derives the draw streams for session ticket `ticket`.
   ReadStream MakeStream(uint64_t ticket) const;
 
-  /// Fault injection defaults to the HYTAP_FAULT_* environment knobs (all
-  /// disabled when unset), so production builds pay only the checksum.
+  /// Fault injection defaults to FaultConfig::FromEnv() (all disabled when
+  /// its knobs are unset), so production builds pay only the checksum.
   explicit SecondaryStore(DeviceKind device, uint64_t timing_seed = 42,
                           FaultConfig fault_config = FaultConfig::FromEnv());
 
@@ -161,8 +161,7 @@ class SecondaryStore {
   /// load phase) and clears the quarantine set and fault stats.
   void ConfigureFaults(FaultConfig config);
 
-  /// Maximum read retries after a failed attempt (HYTAP_MAX_READ_RETRIES
-  /// environment override, default 4).
+  /// Maximum read retries after a failed attempt (default 4).
   void set_max_read_retries(uint32_t retries) { max_read_retries_ = retries; }
   uint32_t max_read_retries() const { return max_read_retries_; }
 
@@ -194,8 +193,6 @@ class SecondaryStore {
   void ResetStats();
 
  private:
-  static uint32_t DefaultMaxReadRetries();
-
   DeviceModel device_;
   uint64_t timing_seed_;
   FaultConfig fault_config_;
@@ -209,7 +206,7 @@ class SecondaryStore {
   /// Pages that failed permanently, with the status code to fail fast with
   /// (kUnavailable or kDataLoss).
   std::unordered_map<PageId, StatusCode> quarantine_;
-  uint32_t max_read_retries_;
+  uint32_t max_read_retries_ = 4;
   uint64_t total_read_ns_ = 0;
   uint64_t reads_ = 0;
   /// Mutable: VerifyPage is logically const (it changes no page state) but

@@ -7,7 +7,7 @@ namespace hytap {
 
 namespace {
 
-/// Registry handles resolved once; Add() is gated on the HYTAP_METRICS knob.
+/// Registry handles resolved once; Add() is gated on MetricsEnabled().
 struct TxnMetrics {
   Counter* begins;
   Counter* commits;

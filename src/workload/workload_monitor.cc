@@ -3,26 +3,14 @@
 #include <algorithm>
 
 #include "common/assert.h"
-#include "common/env.h"
 #include "common/metrics.h"
 #include "storage/table.h"
 
 namespace hytap {
 
-namespace workload_monitor_internal {
-
-std::atomic<bool> g_enabled{EnvBool("HYTAP_WORKLOAD_MONITOR", true)};
-
-}  // namespace workload_monitor_internal
-
-void SetWorkloadMonitorEnabled(bool enabled) {
-  workload_monitor_internal::g_enabled.store(enabled,
-                                             std::memory_order_relaxed);
-}
-
 namespace {
 
-/// Registry handles resolved once; updates gated on HYTAP_METRICS.
+/// Registry handles resolved once; updates gated on MetricsEnabled().
 struct MonitorMetrics {
   Counter* queries;
   Counter* windows_rolled;
@@ -156,14 +144,8 @@ Workload WindowsToWorkload(const WorkloadWindowSeries& series,
   return workload;
 }
 
-WorkloadMonitor::Options WorkloadMonitor::Options::FromEnv() {
-  Options options;
-  const uint64_t windows = EnvU64("HYTAP_WORKLOAD_WINDOWS", options.windows);
-  if (windows >= 2) options.windows = size_t(windows);
-  const uint64_t window_ns = EnvU64("HYTAP_WINDOW_NS", options.window_ns);
-  if (window_ns >= 1) options.window_ns = window_ns;
-  return options;
-}
+WorkloadMonitor::WorkloadMonitor(size_t column_count)
+    : WorkloadMonitor(column_count, Options()) {}
 
 WorkloadMonitor::WorkloadMonitor(size_t column_count, Options options)
     : column_count_(column_count), options_(options) {

@@ -1,7 +1,6 @@
 #ifndef HYTAP_WORKLOAD_WORKLOAD_MONITOR_H_
 #define HYTAP_WORKLOAD_WORKLOAD_MONITOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -28,23 +27,10 @@ class Table;
 ///
 /// The monitor is a pure observer: it reads finished results and IoStats,
 /// never feeds back into execution, so results, IO counters, and fault
-/// schedules are bit-identical with the knob on or off
-/// (`workload_monitor_test` asserts this at 1/2/4 threads under seeded
-/// faults). The master switch is `HYTAP_WORKLOAD_MONITOR` ("off"/"0"/
-/// "false" disable; default on); while disabled, Record() is never reached —
-/// the executor skips observation building behind one relaxed load.
-
-namespace workload_monitor_internal {
-extern std::atomic<bool> g_enabled;
-}  // namespace workload_monitor_internal
-
-/// Master switch, initialized from HYTAP_WORKLOAD_MONITOR (default on).
-inline bool WorkloadMonitorEnabled() {
-  return workload_monitor_internal::g_enabled.load(std::memory_order_relaxed);
-}
-
-/// Runtime override used by tests, benchmarks, and the doctor CLI.
-void SetWorkloadMonitorEnabled(bool enabled);
+/// schedules are bit-identical with or without a monitor attached to the
+/// executor (`workload_monitor_test` asserts this at 1/2/4 threads under
+/// seeded faults). Every TieredTable attaches one; an executor without one
+/// skips observation building.
 
 /// Which access path one executed predicate step took (paper §II-B).
 enum class StepKind : uint8_t { kIndex, kScan, kProbe, kRescan };
@@ -62,8 +48,8 @@ struct StepObservation {
 
 /// Everything the monitor, the plan cache and the cost calibrator read
 /// about one executed query. Written by QueryExecutor::Execute from its
-/// step record when a monitor is attached and the knob is on; reads only
-/// deterministic engine state.
+/// step record when a monitor is attached; reads only deterministic engine
+/// state.
 struct QueryObservation {
   /// Sorted, deduplicated filtered-column set — the plan-cache template key.
   std::vector<ColumnId> filtered_columns;
@@ -149,16 +135,14 @@ Workload WindowsToWorkload(const WorkloadWindowSeries& series,
 class WorkloadMonitor {
  public:
   struct Options {
-    /// Ring capacity in windows (HYTAP_WORKLOAD_WINDOWS, default 16, min 2).
+    /// Ring capacity in windows (min 2).
     size_t windows = 16;
-    /// Window width on the simulated clock (HYTAP_WINDOW_NS, default 1 s).
+    /// Window width on the simulated clock (default 1 s).
     uint64_t window_ns = 1'000'000'000;
-
-    static Options FromEnv();
   };
 
-  explicit WorkloadMonitor(size_t column_count,
-                           Options options = Options::FromEnv());
+  explicit WorkloadMonitor(size_t column_count);
+  WorkloadMonitor(size_t column_count, Options options);
 
   WorkloadMonitor(const WorkloadMonitor&) = delete;
   WorkloadMonitor& operator=(const WorkloadMonitor&) = delete;
@@ -168,8 +152,8 @@ class WorkloadMonitor {
   /// forwards the observation to the attached sink (calibrator).
   void Record(const QueryObservation& observation);
 
-  /// Forces the current window closed (epoch-style use: the doctor CLI
-  /// rolls at a workload-phase boundary so each phase diagnoses cleanly).
+  /// Forces the current window closed (epoch-style use: roll at a
+  /// workload-phase boundary so each phase diagnoses cleanly).
   void ForceRoll();
 
   /// Optional downstream consumer (not owned); pass null to detach.

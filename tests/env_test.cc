@@ -5,12 +5,9 @@
 #include <cstdint>
 #include <cstdlib>
 
-#include "core/retier_daemon.h"
+#include "common/thread_pool.h"
 #include "serving/latency_profiler.h"
-#include "serving/session_manager.h"
 #include "tiering/fault_injector.h"
-#include "tiering/secondary_store.h"
-#include "workload/workload_monitor.h"
 
 namespace hytap {
 namespace {
@@ -28,10 +25,6 @@ void SetEnv(const char* name, const char* value) {
 
 const char* Show(const char* value) {
   return value == nullptr ? "(unset)" : value;
-}
-
-double ReadRetries() {
-  return double(SecondaryStore(DeviceKind::kCssd).max_read_retries());
 }
 
 TEST(EnvTest, BoolSpellings) {
@@ -114,9 +107,13 @@ TEST(EnvTest, DoubleSpellings) {
   unsetenv(kKnob);
 }
 
+double ReadWorkers() { return double(ThreadPool::DefaultWorkerCount()); }
+
 /// The knobs read through the shared parser follow its spelling rule, and
 /// each keeps its own range clamp at the call site.
 TEST(EnvTest, KnobsFollowTheRuleAndKeepTheirClamps) {
+  unsetenv("HYTAP_THREADS");
+  const double default_workers = ReadWorkers();
   struct Case {
     const char* name;
     const char* value;
@@ -124,28 +121,11 @@ TEST(EnvTest, KnobsFollowTheRuleAndKeepTheirClamps) {
     double expected;
   };
   const Case cases[] = {
-      // Unparsable or empty values keep the default.
-      {"HYTAP_RETIER_DWELL_WINDOWS", "abc",
-       [] { return double(RetierOptions::FromEnv().dwell_windows); }, 2},
-      {"HYTAP_RETIER_CALIBRATED", "",
-       [] { return double(RetierOptions::FromEnv().use_calibrated_params); },
-       0},
-      {"HYTAP_RETIER_CALIBRATED", "YES",
-       [] { return double(RetierOptions::FromEnv().use_calibrated_params); },
-       1},
-      {"HYTAP_RETIER_ON_IDLE", "On",
-       [] { return double(SessionOptions::FromEnv().retier_on_idle); }, 1},
+      // Unparsable values keep the default.
       {"HYTAP_SLO_OLTP_NS", "5ms",
        [] { return double(LatencyProfiler::Options::FromEnv().oltp_slo_ns); },
        2'000'000},
       // Clamps stay where they were.
-      {"HYTAP_SESSION_QUEUE_CAP", "0",
-       [] { return double(SessionOptions::FromEnv().queue_capacity); }, 256},
-      {"HYTAP_MAX_READ_RETRIES", "64", ReadRetries, 64},
-      {"HYTAP_MAX_READ_RETRIES", "65", ReadRetries, 4},
-      {"HYTAP_WORKLOAD_WINDOWS", "1",
-       [] { return double(WorkloadMonitor::Options::FromEnv().windows); },
-       16},
       {"HYTAP_FAULT_READ_ERROR_RATE", "1.5",
        [] { return FaultConfig::FromEnv().read_error_rate; }, 1.0},
       {"HYTAP_FAULT_READ_ERROR_RATE", "-0.5",
@@ -153,6 +133,14 @@ TEST(EnvTest, KnobsFollowTheRuleAndKeepTheirClamps) {
       {"HYTAP_SLO_TARGET_PPM", "1000000",
        [] { return double(LatencyProfiler::Options::FromEnv().target_ppm); },
        999'999},
+      // The pool starts one OS thread per worker but the caller: beyond
+      // 1024 workers the override is ignored. Only the count is read here;
+      // no pool is ever built from these values.
+      {"HYTAP_THREADS", "3", ReadWorkers, 3},
+      {"HYTAP_THREADS", "1024", ReadWorkers, 1024},
+      {"HYTAP_THREADS", "1025", ReadWorkers, default_workers},
+      {"HYTAP_THREADS", "18446744073709551615", ReadWorkers, default_workers},
+      {"HYTAP_THREADS", "0", ReadWorkers, default_workers},
   };
   for (const Case& c : cases) {
     SetEnv(c.name, c.value);

@@ -431,7 +431,7 @@ TEST(FlightRecorderAcceptanceTest, AnomalyTimelineIsBitIdenticalAcrossWorkers) {
 }
 
 // ---------------------------------------------------------------------------
-// Idle-driven re-tiering (HYTAP_RETIER_ON_IDLE): tick placement is
+// Idle-driven re-tiering (an attached daemon): tick placement is
 // deterministic by window index, independent of the worker count.
 // ---------------------------------------------------------------------------
 
@@ -477,7 +477,6 @@ IdleSignature RunIdleScenario(uint32_t workers) {
   SessionOptions so;
   so.max_sessions = workers;
   so.default_threads = 1;
-  so.retier_on_idle = true;
   SessionManager& sm = table->EnableServing(so);
   RetierDaemon daemon(table.get(), TestOptions(*table));  // unthrottled
 
@@ -530,24 +529,6 @@ TEST(IdleRetierTest, IdleTicksAreDeterministicByWindowAcrossWorkers) {
   for (size_t c = kHotB; c < kHotB + kHotCount; ++c) {
     EXPECT_TRUE(one.placement[c]) << "hot column " << c << " not in DRAM";
   }
-}
-
-TEST(IdleRetierTest, NoTicksWhenIdleRetieringDisabled) {
-  auto table = MakeBseg();
-  SessionOptions so;
-  so.max_sessions = 2;
-  so.default_threads = 1;
-  so.retier_on_idle = false;  // knob off: an attached daemon is never ticked
-  SessionManager& sm = table->EnableServing(so);
-  RetierDaemon daemon(table.get(), TestOptions(*table));
-  sm.set_retier_daemon(&daemon);
-  ServePhase(&sm, kHotA, kHotCount);
-  sm.Drain();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_EQ(sm.idle_ticks(), 0u);
-  EXPECT_TRUE(daemon.history().empty());
-  EXPECT_EQ(daemon.state(), RetierState::kIdle);
-  sm.set_retier_daemon(nullptr);
 }
 
 }  // namespace

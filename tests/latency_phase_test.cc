@@ -119,23 +119,6 @@ TEST(LatencyPhaseTest, PhaseVectorSumsToSimulatedLatency) {
   EXPECT_GT(failures, 0u);
 }
 
-TEST(LatencyPhaseTest, KnobOffLeavesPhaseVectorUntouched) {
-  auto table = MakeOrderline();
-  EvictPayloadColumns(table.get());
-  Transaction txn = table->Begin();
-  PhaseVector phases;
-  phases[QueryPhase::kDelta] = 77;  // sentinel: must not be cleared or grown
-  ExecOptions opts;
-  opts.phases = &phases;
-  SetPhaseAccountingEnabled(false);
-  const QueryResult r = table->executor().Execute(txn, HeavyOlapQuery(), opts);
-  SetPhaseAccountingEnabled(true);
-  ASSERT_TRUE(r.status.ok());
-  EXPECT_GT(r.io.TotalNs(), 0u);
-  EXPECT_EQ(phases[QueryPhase::kDelta], 77u);
-  EXPECT_EQ(phases.Sum(), 77u);
-}
-
 TEST(LatencyPhaseTest, CancelledBeforeExecutionChargesNothing) {
   auto table = MakeOrderline();
   EvictPayloadColumns(table.get());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -15,39 +16,54 @@
 namespace hytap {
 namespace {
 
-/// Trimmed BSEG table mirroring placement_doctor_cli: 12 columns, a hot set
-/// of 4 payload columns that phase B flips to the opposite end.
-constexpr size_t kRows = 4000;
-constexpr size_t kCols = 12;
-constexpr size_t kQueriesPerPhase = 32;
-constexpr size_t kHotCount = 4;
-constexpr size_t kHotA = 1;
-constexpr size_t kHotB = kCols - kHotCount;
+/// A trimmed BSEG table and a seeded skew-flip workload over it: a hot set
+/// of `hot_count` payload columns starting at column 1, which phase B flips
+/// to the opposite end of the schema.
+struct Instance {
+  size_t rows;
+  size_t cols;
+  size_t queries;  // per phase
+  size_t hot_count;
+  uint64_t data_seed;   // rows and device timing
+  uint64_t query_seed;  // the query mix
+};
 
-std::unique_ptr<TieredTable> MakeTable() {
+constexpr Instance kSmall{4000, 12, 32, 4, 42, 99};
+/// A wider table with a third of the payload hot, seed 42.
+constexpr Instance kWide{8000, 24, 48, 7, 42, 42 * 7919 + 1};
+
+/// The small instance's geometry, used by the tests that run one phase.
+constexpr size_t kCols = kSmall.cols;
+constexpr size_t kQueriesPerPhase = kSmall.queries;
+constexpr size_t kHotA = 1;
+
+std::unique_ptr<TieredTable> MakeTable(const Instance& instance = kSmall) {
   EnterpriseProfile profile = BsegProfile();
-  profile.attribute_count = kCols;
+  profile.attribute_count = instance.cols;
   TieredTableOptions options;
   options.device = DeviceKind::kCssd;
-  options.timing_seed = 42;
+  options.timing_seed = instance.data_seed;
   // Phases are separated via ForceRoll(): keep each phase in one window.
   options.monitor.window_ns = 1'000'000'000'000'000ull;
   auto table = std::make_unique<TieredTable>(
       "bseg", MakeEnterpriseSchema(profile), options);
-  table->Load(GenerateEnterpriseRows(profile, kRows, 42));
+  table->Load(
+      GenerateEnterpriseRows(profile, instance.rows, instance.data_seed));
   return table;
 }
 
-/// Seeded equality mix concentrated on `hot_base .. hot_base+kHotCount`.
-void RunPhase(TieredTable* table, size_t hot_base, Rng* rng) {
+/// Seeded equality mix concentrated on `hot_base .. hot_base+hot_count`.
+void RunPhase(TieredTable* table, size_t hot_base, Rng* rng,
+              const Instance& instance = kSmall) {
   Transaction txn = table->Begin();
-  for (size_t q = 0; q < kQueriesPerPhase; ++q) {
+  for (size_t q = 0; q < instance.queries; ++q) {
     Query query;
-    const size_t hot = hot_base + size_t(rng->NextBounded(kHotCount));
+    const size_t hot = hot_base + size_t(rng->NextBounded(instance.hot_count));
     query.predicates.push_back(
         Predicate::Equals(ColumnId(hot), Value(int32_t(rng->NextBounded(8)))));
     if (q % 3 == 0) {
-      const size_t other = hot_base + size_t(rng->NextBounded(kHotCount));
+      const size_t other =
+          hot_base + size_t(rng->NextBounded(instance.hot_count));
       if (other != hot) {
         query.predicates.push_back(Predicate::Between(
             ColumnId(other), Value(int32_t{0}), Value(int32_t{40})));
@@ -67,80 +83,85 @@ double TotalDramBytes(const TieredTable& table) {
   return total;
 }
 
+std::string Describe(const Instance& instance) {
+  return std::to_string(instance.rows) + " rows x " +
+         std::to_string(instance.cols) + " columns";
+}
+
 TEST(PlacementDoctorTest, RegretNearZeroAfterAdvisorApply) {
-  const bool was = WorkloadMonitorEnabled();
-  SetWorkloadMonitorEnabled(true);
-  auto table = MakeTable();
-  Rng rng(99);
-  RunPhase(table.get(), kHotA, &rng);
+  for (const Instance& instance : {kSmall, kWide}) {
+    SCOPED_TRACE(Describe(instance));
+    auto table = MakeTable(instance);
+    Rng rng(instance.query_seed);
+    RunPhase(table.get(), kHotA, &rng, instance);
 
-  Advisor advisor;
-  auto migrated = advisor.Apply(table.get(), 0.35 * TotalDramBytes(*table));
-  ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
+    Advisor advisor;
+    auto migrated = advisor.Apply(table.get(), 0.35 * TotalDramBytes(*table));
+    ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
 
-  PlacementDoctor doctor;
-  const DoctorReport report = doctor.Diagnose(*table);
-  SetWorkloadMonitorEnabled(was);
+    PlacementDoctor doctor;
+    const DoctorReport report = doctor.Diagnose(*table);
 
-  EXPECT_TRUE(report.from_monitor);
-  EXPECT_EQ(report.queries_observed, kQueriesPerPhase);
-  // The placement was just optimized for exactly this workload at exactly
-  // this budget (placement parity), so the doctor must agree with it.
-  EXPECT_GE(report.regret, 0.0);
-  EXPECT_LE(report.regret_pct, 1.0);
-  EXPECT_TRUE(report.misplaced.empty());
-  EXPECT_DOUBLE_EQ(report.budget_bytes, report.current_dram_bytes);
-  EXPECT_GE(report.current_cost, report.recommended_cost);
-  EXPECT_LE(report.all_dram_cost, report.recommended_cost + 1e-9);
-  // Report rendering smoke.
-  EXPECT_NE(report.ToText().find("regret"), std::string::npos);
-  EXPECT_NE(report.ToJson().find("\"regret\""), std::string::npos);
+    EXPECT_EQ(report.queries_observed, instance.queries);
+    // The placement was just optimized for exactly this workload at exactly
+    // this budget (placement parity), so the doctor must agree with it.
+    EXPECT_GE(report.regret, 0.0);
+    EXPECT_LE(report.regret_pct, 1.0);
+    EXPECT_TRUE(report.misplaced.empty());
+    EXPECT_DOUBLE_EQ(report.budget_bytes, report.current_dram_bytes);
+    EXPECT_GE(report.current_cost, report.recommended_cost);
+    EXPECT_LE(report.all_dram_cost, report.recommended_cost + 1e-9);
+    // Report rendering smoke.
+    EXPECT_NE(report.ToText().find("regret"), std::string::npos);
+    EXPECT_NE(report.ToJson().find("\"regret\""), std::string::npos);
+  }
 }
 
 TEST(PlacementDoctorTest, SkewFlipRaisesRegretWithFlippedColumnsInTopK) {
-  const bool was = WorkloadMonitorEnabled();
-  SetWorkloadMonitorEnabled(true);
-  auto table = MakeTable();
-  Rng rng(99);
-  RunPhase(table.get(), kHotA, &rng);
-  Advisor advisor;
-  ASSERT_TRUE(advisor.Apply(table.get(), 0.35 * TotalDramBytes(*table)).ok());
-  PlacementDoctor doctor;
-  const DoctorReport report_a = doctor.Diagnose(*table);
+  for (const Instance& instance : {kSmall, kWide}) {
+    SCOPED_TRACE(Describe(instance));
+    const size_t hot_b = instance.cols - instance.hot_count;
+    const size_t hot_end = hot_b + instance.hot_count;
+    auto table = MakeTable(instance);
+    Rng rng(instance.query_seed);
+    RunPhase(table.get(), kHotA, &rng, instance);
+    Advisor advisor;
+    ASSERT_TRUE(
+        advisor.Apply(table.get(), 0.35 * TotalDramBytes(*table)).ok());
+    PlacementDoctor doctor;
+    const DoctorReport report_a = doctor.Diagnose(*table);
 
-  // The hot set flips to columns the advisor just evicted; diagnose only
-  // the post-flip window.
-  table->monitor().ForceRoll();
-  RunPhase(table.get(), kHotB, &rng);
-  DoctorOptions recent_options;
-  recent_options.recent_windows = 1;
-  PlacementDoctor recent_doctor(recent_options);
-  const DoctorReport report_b = recent_doctor.Diagnose(*table);
-  SetWorkloadMonitorEnabled(was);
+    // The hot set flips to columns the advisor just evicted; diagnose only
+    // the post-flip window.
+    table->monitor().ForceRoll();
+    RunPhase(table.get(), hot_b, &rng, instance);
+    DoctorOptions recent_options;
+    recent_options.recent_windows = 1;
+    PlacementDoctor recent_doctor(recent_options);
+    const DoctorReport report_b = recent_doctor.Diagnose(*table);
 
-  EXPECT_EQ(report_b.windows_used, 1u);
-  EXPECT_GT(report_b.drift, 0.9);  // disjoint hot sets
-  EXPECT_GT(report_b.regret, 0.0);
-  EXPECT_GT(report_b.regret_pct, report_a.regret_pct);
-  ASSERT_FALSE(report_b.misplaced.empty());
-  bool flipped_in_topk = false;
-  for (const MisplacedColumn& column : report_b.misplaced) {
-    if (column.column >= kHotB && column.column < kHotB + kHotCount &&
-        column.in_dram_recommended && !column.in_dram_now) {
-      flipped_in_topk = true;
+    EXPECT_EQ(report_b.windows_used, 1u);
+    EXPECT_GT(report_b.drift, 0.9);  // disjoint hot sets
+    EXPECT_GT(report_b.regret, 0.0);
+    EXPECT_GT(report_b.regret_pct, report_a.regret_pct);
+    ASSERT_FALSE(report_b.misplaced.empty());
+    bool flipped_in_topk = false;
+    for (const MisplacedColumn& column : report_b.misplaced) {
+      if (column.column >= hot_b && column.column < hot_end &&
+          column.in_dram_recommended && !column.in_dram_now) {
+        flipped_in_topk = true;
+      }
     }
-  }
-  EXPECT_TRUE(flipped_in_topk);
-  // Ranked by separable cost term, largest first.
-  for (size_t i = 1; i < report_b.misplaced.size(); ++i) {
-    EXPECT_GE(report_b.misplaced[i - 1].cost_delta,
-              report_b.misplaced[i].cost_delta);
+    EXPECT_TRUE(flipped_in_topk);
+    // Ranked by separable cost term, largest first.
+    for (size_t i = 1; i < report_b.misplaced.size(); ++i) {
+      EXPECT_GE(report_b.misplaced[i - 1].cost_delta,
+                report_b.misplaced[i].cost_delta);
+    }
   }
 }
 
 TEST(PlacementDoctorTest, CalibrationRecoversFromPerturbedReference) {
-  const bool was = WorkloadMonitorEnabled();
-  SetWorkloadMonitorEnabled(true);
   auto table = MakeTable();
 
   // Fan the observation stream out to a second calibrator whose reference
@@ -163,7 +184,6 @@ TEST(PlacementDoctorTest, CalibrationRecoversFromPerturbedReference) {
   Rng rng(7);
   RunPhase(table.get(), kHotA, &rng);
   table->monitor().set_sink(&table->calibrator());
-  SetWorkloadMonitorEnabled(was);
 
   ASSERT_EQ(perturbed.sample_count(), kQueriesPerPhase);
   ASSERT_GT(perturbed.dram().bytes, 0u);
@@ -188,15 +208,12 @@ TEST(PlacementDoctorTest, CalibrationRecoversFromPerturbedReference) {
 }
 
 TEST(PlacementDoctorTest, CalibratedParamsOptIn) {
-  const bool was = WorkloadMonitorEnabled();
-  SetWorkloadMonitorEnabled(true);
   auto table = MakeTable();
   std::vector<bool> in_dram(kCols, false);
   in_dram[0] = in_dram[1] = in_dram[2] = true;
   ASSERT_TRUE(table->ApplyPlacement(in_dram).ok());
   Rng rng(7);
   RunPhase(table.get(), kHotA, &rng);
-  SetWorkloadMonitorEnabled(was);
 
   DoctorOptions options;
   options.use_calibrated_params = true;
@@ -214,24 +231,6 @@ TEST(PlacementDoctorTest, CalibratedParamsOptIn) {
   const Recommendation rec = advisor.RecommendRelative(*table, 0.5);
   EXPECT_DOUBLE_EQ(rec.params_used.c_mm, report.fitted_params.c_mm);
   EXPECT_DOUBLE_EQ(rec.params_used.c_ss, report.fitted_params.c_ss);
-}
-
-TEST(PlacementDoctorTest, FallsBackToPlanCacheWhenMonitorOff) {
-  const bool was = WorkloadMonitorEnabled();
-  SetWorkloadMonitorEnabled(false);
-  auto table = MakeTable();
-  Rng rng(3);
-  RunPhase(table.get(), kHotA, &rng);
-  SetWorkloadMonitorEnabled(was);
-
-  EXPECT_EQ(table->monitor().queries_observed(), 0u);
-  EXPECT_GT(table->plan_cache().template_count(), 0u);
-  PlacementDoctor doctor;
-  const DoctorReport report = doctor.Diagnose(*table);
-  EXPECT_FALSE(report.from_monitor);
-  EXPECT_EQ(report.queries_observed, 0u);
-  EXPECT_GT(report.current_cost, 0.0);
-  EXPECT_GE(report.regret, 0.0);
 }
 
 TEST(PlacementDoctorTest, EmptyWorkloadYieldsZeroReport) {

@@ -138,16 +138,17 @@ TEST_F(PlanCacheTest, ObservedStepsMapToTemplateSlots) {
   Workload workload = cache.ToWorkload(table_);
   EXPECT_NEAR(workload.selectivities[2], 0.05, 1e-12);
   EXPECT_NEAR(workload.selectivities[0], 1.0 / 100.0, 1e-12);  // fallback
-  // Mixed Record/RecordObserved executions accumulate in one template.
+  // Mixed Record/RecordObserved executions accumulate in one template; the
+  // count-only Record adds no selectivity sample to either slot.
   cache.Record(MakeQuery({0, 2}));
   EXPECT_EQ(cache.template_count(), 1u);
   EXPECT_EQ(cache.total_executions(), 2u);
-  auto it = cache.templates().find(std::vector<ColumnId>{0, 2});
-  ASSERT_NE(it, cache.templates().end());
-  EXPECT_EQ(it->second.count, 2u);
-  ASSERT_EQ(it->second.selectivity_samples.size(), 2u);
-  EXPECT_EQ(it->second.selectivity_samples[0], 0u);
-  EXPECT_EQ(it->second.selectivity_samples[1], 1u);
+  workload = cache.ToWorkload(table_);
+  ASSERT_EQ(workload.queries.size(), 1u);
+  EXPECT_EQ(workload.queries[0].columns, (std::vector<ColumnId>{0, 2}));
+  EXPECT_EQ(workload.queries[0].frequency, 2.0);
+  EXPECT_NEAR(workload.selectivities[2], 0.05, 1e-12);
+  EXPECT_NEAR(workload.selectivities[0], 1.0 / 100.0, 1e-12);  // fallback
 }
 
 TEST_F(PlanCacheTest, ClearResets) {

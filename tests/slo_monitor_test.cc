@@ -1,5 +1,5 @@
 // SLO burn rates of the latency profiler: the per-class objective check fed
-// from the serving flush, with or without phase accounting.
+// from the serving flush.
 #include "serving/latency_profiler.h"
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "core/tiered_table.h"
 #include "serving/session_manager.h"
 #include "workload/enterprise.h"
-#include "workload/workload_monitor.h"
 
 namespace hytap {
 namespace {
@@ -213,9 +212,10 @@ struct ServingRun {
   LatencyProfiler::ClassSnapshot oltp;
 };
 
-ServingRun RunServing(uint32_t workers) {
+ServingRun RunServing(uint32_t workers, bool monitor = true) {
   setenv("HYTAP_FLIGHT_DUMP", "0", 1);
   auto table = MakeSmallBseg();
+  if (!monitor) table->executor().set_monitor(nullptr);
   SessionOptions so;
   so.max_sessions = workers;
   so.default_threads = 1;
@@ -302,47 +302,11 @@ TEST(SloMonitorTest, OneAttachGivesSloAndPhaseReportsAcrossWorkers) {
   EXPECT_NE(one.report_text.find("critical path:"), std::string::npos);
 }
 
-/// The SLO fold runs whatever the phase knob says: with phase accounting off
-/// (the executor then leaves phase vectors all-zero) a breach still fires
-/// its flight event, while the phase fold records nothing.
-TEST(SloMonitorTest, BreachFiresWithPhaseAccountingOff) {
-  setenv("HYTAP_FLIGHT_DUMP", "0", 1);
-  FlightRecorder::Global().Reset();
-  SetFlightRecorderEnabled(true);
-  SetPhaseAccountingEnabled(false);
-  LatencyProfiler slo(TightOptions());
-  for (uint64_t i = 0; i < 10; ++i) {
-    slo.Observe(/*ticket=*/i, QueryClass::kOltp, StatusCode::kOk,
-                /*executed=*/true, /*latency_ns=*/5000, PhaseVector(),
-                /*trace=*/nullptr, /*window=*/1, /*sim_ns=*/1000 + i);
-  }
-  SetPhaseAccountingEnabled(true);
-
-  const LatencyProfiler::ClassSnapshot snap = slo.Snapshot(QueryClass::kOltp);
-  EXPECT_TRUE(snap.breached);
-  EXPECT_EQ(snap.breaches, 1u);
-  EXPECT_EQ(snap.slo_observations, 10u);
-  EXPECT_EQ(snap.violations, 10u);
-  EXPECT_EQ(snap.observations, 0u);
-  EXPECT_TRUE(slo.Attributions().empty());
-  bool saw_breach = false;
-  for (const FlightEvent& event : FlightRecorder::Global().Snapshot()) {
-    if (event.type == static_cast<uint16_t>(FlightEventType::kSloBreach)) {
-      saw_breach = true;
-    }
-    EXPECT_NE(event.type,
-              static_cast<uint16_t>(FlightEventType::kPhaseAttribution));
-  }
-  EXPECT_TRUE(saw_breach);
-}
-
 /// Verdicts read the execution's own simulated latency, not the workload
-/// monitor's observation of it: with the monitor off, the impossible OLTP
-/// objective still flags every OLTP ticket and breaches.
+/// monitor's observation of it: with the monitor detached, the impossible
+/// OLTP objective still flags every OLTP ticket and breaches.
 TEST(SloMonitorTest, WorkloadMonitorOffStillJudgesLatency) {
-  SetWorkloadMonitorEnabled(false);
-  const ServingRun run = RunServing(2);
-  SetWorkloadMonitorEnabled(true);
+  const ServingRun run = RunServing(2, /*monitor=*/false);
   const size_t oltp = size_t(QueryClass::kOltp);
   EXPECT_EQ(run.slo.observations[oltp], kQueries / 2);
   EXPECT_EQ(run.slo.violations[oltp], kQueries / 2);

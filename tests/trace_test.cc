@@ -635,8 +635,6 @@ std::string GoldenRun(size_t main_rows, uint32_t threads, uint64_t fault_seed,
 
 TEST(TraceTest, GoldenExecutorViews) {
   SetMetricsEnabled(true);
-  SetPhaseAccountingEnabled(true);
-  SetWorkloadMonitorEnabled(true);
   struct Golden {
     size_t main_rows;
     uint32_t threads;

@@ -193,21 +193,13 @@ TEST(WorkloadMonitorTest, SequenceSinkAndReset) {
   EXPECT_EQ(monitor.queries_observed(), 0u);
 }
 
-TEST(WorkloadMonitorTest, KnobToggles) {
-  const bool was = WorkloadMonitorEnabled();
-  SetWorkloadMonitorEnabled(false);
-  EXPECT_FALSE(WorkloadMonitorEnabled());
-  SetWorkloadMonitorEnabled(true);
-  EXPECT_TRUE(WorkloadMonitorEnabled());
-  SetWorkloadMonitorEnabled(was);
-}
-
 // ---------------------------------------------------------------------------
-// Bit-identity: the monitor is a pure observer. With the knob on or off,
-// query results and the simulated cost model must be identical at the same
-// thread count — every ns field included — and an armed fault injector must
-// not be shifted by a single draw. Mirrors parallel_equivalence_test, but
-// drives the full TieredTable so the monitor/calibrator wiring is live.
+// Bit-identity: the monitor is a pure observer. With the executor's monitor
+// attached or detached, query results and the simulated cost model must be
+// identical at the same thread count — every ns field included — and an
+// armed fault injector must not be shifted by a single draw. Mirrors
+// parallel_equivalence_test, but drives the full TieredTable so the
+// monitor/calibrator wiring is live.
 // ---------------------------------------------------------------------------
 
 constexpr size_t kMainRows = 4000;
@@ -336,17 +328,14 @@ void ExpectSameFaultStats(const FaultStats& a, const FaultStats& b) {
 
 TEST(WorkloadMonitorTest, KnobOffBitIdenticalAcrossThreadCounts) {
   const std::vector<Query> queries = RandomQueries(12);
-  const bool was = WorkloadMonitorEnabled();
   for (uint32_t threads : {1u, 2u, 4u}) {
     Instance off_instance;
-    SetWorkloadMonitorEnabled(false);
+    off_instance.table.executor().set_monitor(nullptr);
     const std::vector<QueryResult> off =
         RunAll(off_instance, queries, threads);
 
     Instance on_instance;
-    SetWorkloadMonitorEnabled(true);
     const std::vector<QueryResult> on = RunAll(on_instance, queries, threads);
-    SetWorkloadMonitorEnabled(was);
 
     ASSERT_EQ(on.size(), off.size());
     for (size_t q = 0; q < off.size(); ++q) {
@@ -371,17 +360,14 @@ TEST(WorkloadMonitorTest, KnobDoesNotPerturbSeededFaultSchedules) {
   faults.page_failure_rate = 0.004;
   faults.latency_spike_rate = 0.05;
   const std::vector<Query> queries = RandomQueries(12);
-  const bool was = WorkloadMonitorEnabled();
   for (uint32_t threads : {1u, 4u}) {
     Instance off_instance(faults);
-    SetWorkloadMonitorEnabled(false);
+    off_instance.table.executor().set_monitor(nullptr);
     const std::vector<QueryResult> off =
         RunAll(off_instance, queries, threads);
 
     Instance on_instance(faults);
-    SetWorkloadMonitorEnabled(true);
     const std::vector<QueryResult> on = RunAll(on_instance, queries, threads);
-    SetWorkloadMonitorEnabled(was);
 
     ASSERT_EQ(on.size(), off.size());
     for (size_t q = 0; q < off.size(); ++q) {

@@ -14,15 +14,15 @@
 // EXPLAIN operator tree of the first queries is printed too; with --doctor,
 // the placement doctor's report on the observed workload is printed to
 // stderr (its gauges always flow into the snapshot). With --solver, the
-// doctor recommends through the anytime solver portfolio (deadline from
-// HYTAP_SOLVER_BUDGET_MS, default 50 ms here) so the hytap_solver_* family
-// lands in the snapshot too. With --sessions, the query mix runs through
-// the high-concurrency serving front end (EnableServing; worker count and
-// queue bound honor HYTAP_MAX_SESSIONS / HYTAP_SESSION_*) instead of the
+// doctor recommends through the anytime solver portfolio (50 ms deadline)
+// so the hytap_solver_* family lands in the snapshot too. With --sessions,
+// the query mix runs through the high-concurrency serving front end
+// (EnableServing with the default SessionOptions) instead of the
 // synchronous path, so the hytap_session_* family lands in the snapshot.
 // With --slo or --phases (either implies --sessions), a latency profiler
 // (DESIGN.md §17) attaches to the serving front end: it judges every
-// terminal session against the per-class SLO objectives (HYTAP_SLO_*) and
+// terminal session against the per-class SLO objectives (OLTP objective
+// and target from HYTAP_SLO_OLTP_NS / HYTAP_SLO_TARGET_PPM) and
 // accounts every ticket's simulated latency into lifecycle phases, so the
 // hytap_slo_* and hytap_phase_* families land in the snapshot. --slo prints
 // the per-class burn rates to stderr; --phases prints the deterministic
@@ -315,9 +315,7 @@ int main(int argc, char** argv) {
   DoctorOptions doctor_options;
   if (options.solver) {
     doctor_options.use_portfolio = true;
-    if (doctor_options.portfolio.budget_ms <= 0.0) {
-      doctor_options.portfolio.budget_ms = 50.0;
-    }
+    doctor_options.portfolio.budget_ms = 50.0;
   }
   PlacementDoctor doctor(doctor_options);
   const DoctorReport report = doctor.Diagnose(table);
