@@ -3,14 +3,11 @@
 // paths up to N = 10^6 (column, tenant) items.
 //
 // Results are printed and written to BENCH_solver_portfolio.json. The bench
-// self-gates (exit 1) on the PR's acceptance criteria so CI can run it as a
-// smoke test:
-//   - the merged incumbent-gap timeline is monotonically non-increasing;
-//   - the portfolio incumbent ends within 1% of the exact optimum on the
-//     Example-1 and BSEG-sized instances;
-//   - greedy/explicit selection at N = 10^5 completes under a fixed
-//     wall-clock bound (and, in the full sweep, N = 10^6 in single-digit
-//     seconds).
+// exits 1 when greedy/explicit selection at N = 10^5 misses a fixed
+// wall-clock bound (and, in the full sweep, N = 10^6 single-digit seconds).
+// The curves' own gates (monotone timeline, incumbent within 1 % of exact)
+// are PortfolioTest.BenchCurvesEndWithinOnePercentOfExact in
+// solver_portfolio_test.
 
 #include <cinttypes>
 #include <cstdio>
@@ -70,17 +67,6 @@ CurveRow RunCurve(const std::string& instance, const Workload& workload,
   row.result = portfolio.Solve(problem);
   const SelectionResult exact = SelectIntegerOptimal(problem);
   row.exact_objective = exact.objective;
-
-  double last_gap = 1e300;
-  bool monotone = true;
-  for (const IncumbentEvent& event : row.result.timeline) {
-    if (event.gap > last_gap + 1e-15) monotone = false;
-    last_gap = event.gap;
-  }
-  Gate(monotone, "incumbent gap timeline must be monotone non-increasing");
-  Gate(exact.optimal, "exact reference solve must complete");
-  Gate(row.result.selection.objective <= exact.objective * 1.01 + 1e-9,
-       "portfolio incumbent must end within 1% of the exact optimum");
 
   std::printf("%-10s N=%-6zu winner=%-8s wall=%.3fs updates=%" PRIu64
               " final_gap=%.5f (vs exact: %+.3e)\n",

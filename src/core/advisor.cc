@@ -2,7 +2,6 @@
 
 #include "common/assert.h"
 #include "selection/calibration.h"
-#include "selection/heuristics.h"
 
 namespace hytap {
 
@@ -12,22 +11,14 @@ Recommendation Advisor::Recommend(const TieredTable& table,
                                   double budget_bytes) const {
   Recommendation rec;
   rec.workload = table.plan_cache().ToWorkload(table.table());
-  rec.params_used = options_.cost_params;
-  if (options_.use_calibrated_params && options_.calibrator != nullptr) {
-    rec.params_used = options_.calibrator->Fitted();
-  }
+  rec.params_used = options_.use_calibrated_params
+                        ? table.calibrator().Fitted()
+                        : options_.cost_params;
 
   SelectionProblem problem;
   problem.workload = &rec.workload;
   problem.params = rec.params_used;
   problem.budget_bytes = budget_bytes;
-  if (options_.beta > 0.0) {
-    problem.beta = options_.beta;
-    problem.current.resize(table.table().column_count());
-    for (size_t i = 0; i < problem.current.size(); ++i) {
-      problem.current[i] = table.table().placement()[i] ? 1 : 0;
-    }
-  }
   if (!options_.pinned_columns.empty()) {
     problem.pinned.assign(rec.workload.column_count(), 0);
     for (ColumnId c : options_.pinned_columns) {
@@ -35,26 +26,7 @@ Recommendation Advisor::Recommend(const TieredTable& table,
       problem.pinned[c] = 1;
     }
   }
-
-  switch (options_.algorithm) {
-    case AdvisorAlgorithm::kExplicit:
-      rec.selection = SelectExplicit(problem, /*filling=*/true);
-      break;
-    case AdvisorAlgorithm::kIntegerOptimal:
-      rec.selection = SelectIntegerOptimal(problem);
-      break;
-    case AdvisorAlgorithm::kGreedyMarginal:
-      rec.selection = SelectGreedyMarginal(problem);
-      break;
-    case AdvisorAlgorithm::kPortfolio: {
-      SolverPortfolio portfolio(options_.portfolio);
-      PortfolioResult result = portfolio.Solve(problem);
-      rec.selection = std::move(result.selection);
-      rec.winner = std::move(result.winner);
-      rec.deadline_hit = result.deadline_hit;
-      break;
-    }
-  }
+  rec.selection = SelectExplicit(problem, /*filling=*/true);
   rec.in_dram.assign(rec.selection.in_dram.begin(),
                      rec.selection.in_dram.end());
   return rec;

@@ -33,17 +33,9 @@ GlobalRecommendation GlobalAdvisor::Recommend(Database* db,
 
   SelectionProblem problem;
   problem.workload = &joint;
-  problem.params = options_.params;
+  problem.params = params_;
   problem.budget_bytes = budget_bytes;
-  if (options_.use_portfolio) {
-    SolverPortfolio portfolio(options_.portfolio);
-    PortfolioResult result = portfolio.Solve(problem);
-    rec.selection = std::move(result.selection);
-    rec.winner = std::move(result.winner);
-    rec.deadline_hit = result.deadline_hit;
-  } else {
-    rec.selection = SelectExplicit(problem);
-  }
+  rec.selection = SelectExplicit(problem);
 
   // Split the joint allocation back into per-table placements.
   for (size_t t = 0; t < table_offsets.size(); ++t) {

@@ -6,7 +6,6 @@
 
 #include "core/database.h"
 #include "selection/selectors.h"
-#include "solver/portfolio.h"
 
 namespace hytap {
 
@@ -22,20 +21,6 @@ struct GlobalRecommendation {
   std::vector<TablePlacement> placements;
   SelectionResult selection;  // over the concatenated column space
   Workload joint_workload;
-  /// Portfolio mode only: winning solver and deadline outcome.
-  std::string winner;
-  bool deadline_hit = false;
-};
-
-/// GlobalAdvisor knobs.
-struct GlobalAdvisorOptions {
-  ScanCostParams params;
-  /// Solve the joint column space with the anytime solver portfolio under
-  /// its deadline instead of the one-shot explicit solution. At enterprise
-  /// scale (thousands of tables) this bounds advisory latency while still
-  /// racing the exact solver for whatever optimality the budget affords.
-  bool use_portfolio = false;
-  PortfolioOptions portfolio = PortfolioOptions::FromEnv();
 };
 
 /// Places the columns of *all* tables of a database against one DRAM budget
@@ -50,11 +35,7 @@ struct GlobalAdvisorOptions {
 /// to whichever table's column buys the most performance.
 class GlobalAdvisor {
  public:
-  explicit GlobalAdvisor(ScanCostParams params = {}) {
-    options_.params = params;
-  }
-  explicit GlobalAdvisor(GlobalAdvisorOptions options)
-      : options_(std::move(options)) {}
+  explicit GlobalAdvisor(ScanCostParams params = {}) : params_(params) {}
 
   /// Recommends placements for an absolute DRAM budget over all tables.
   GlobalRecommendation Recommend(Database* db, double budget_bytes) const;
@@ -66,7 +47,7 @@ class GlobalAdvisor {
   StatusOr<uint64_t> Apply(Database* db, double budget_bytes) const;
 
  private:
-  GlobalAdvisorOptions options_;
+  ScanCostParams params_;
 };
 
 }  // namespace hytap

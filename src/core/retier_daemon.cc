@@ -184,11 +184,7 @@ bool RetierDaemon::Evaluate(uint64_t window, RetierTickReport* report) {
     }
   }
 
-  ReallocationOptions selection_options;
-  selection_options.use_portfolio = options_.use_portfolio;
-  selection_options.portfolio = options_.portfolio;
-  const ReallocationResult result =
-      SelectWithReallocation(problem, selection_options);
+  const ReallocationResult result = SelectWithReallocation(problem);
   report->improvement_pct = result.improvement_pct;
   metrics.last_improvement_pct_milli->Set(
       int64_t(result.improvement_pct * 1000.0 + 0.5));

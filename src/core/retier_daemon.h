@@ -45,10 +45,6 @@ struct RetierOptions {
   /// c_mm/c_ss instead of `cost_params`.
   bool use_calibrated_params = false;
   ScanCostParams cost_params;
-  /// Solve through the anytime portfolio (unlimited budget = deterministic
-  /// exact optimum) or the one-shot explicit solution.
-  bool use_portfolio = true;
-  PortfolioOptions portfolio = PortfolioOptions::FromEnv();
   /// Columns the DBA pins in DRAM; the daemon adds quarantined columns.
   std::vector<ColumnId> pinned_columns;
 };

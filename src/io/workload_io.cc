@@ -1,6 +1,5 @@
 #include "io/workload_io.h"
 
-#include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -122,144 +121,6 @@ StatusOr<Workload> ReadWorkloadFile(const std::string& path) {
   std::ostringstream text;
   text << in.rdbuf();
   return ParseWorkload(text.str());
-}
-
-std::string SerializeWorkloadWindows(const WorkloadWindowSeries& series) {
-  std::ostringstream out;
-  out.precision(17);
-  out << "hytap-workload-windows v1\n";
-  out << "columns " << series.column_count << " window_ns "
-      << series.window_ns << "\n";
-  out << "windows " << series.windows.size() << "\n";
-  for (const WorkloadWindowSnapshot& w : series.windows) {
-    out << "window " << w.index << " " << w.start_ns << " " << w.simulated_ns
-        << " " << w.queries << " " << w.failures << " " << w.index_steps
-        << " " << w.scan_steps << " " << w.probe_steps << " "
-        << w.rescan_steps << "\n";
-    out << "freq";
-    for (double g : w.column_frequency) out << " " << g;
-    out << "\nselsum";
-    for (double s : w.selectivity_sum) out << " " << s;
-    out << "\nselcnt";
-    for (uint64_t c : w.selectivity_samples) out << " " << c;
-    out << "\ntemplates " << w.templates.size() << "\n";
-    for (const auto& [columns, count] : w.templates) {
-      out << count;
-      for (ColumnId c : columns) out << " " << c;
-      out << "\n";
-    }
-  }
-  return out.str();
-}
-
-StatusOr<WorkloadWindowSeries> ParseWorkloadWindows(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!NextLine(in, &line) || line.rfind("hytap-workload-windows", 0) != 0) {
-    return Status::InvalidArgument(
-        "missing 'hytap-workload-windows' header");
-  }
-  WorkloadWindowSeries series;
-  if (!NextLine(in, &line) ||
-      std::sscanf(line.c_str(), "columns %zu window_ns %" SCNu64,
-                  &series.column_count, &series.window_ns) != 2) {
-    return Status::InvalidArgument("malformed 'columns' line: " + line);
-  }
-  if (series.window_ns == 0) {
-    return Status::InvalidArgument("window_ns must be positive");
-  }
-  size_t k = 0;
-  if (!NextLine(in, &line) ||
-      std::sscanf(line.c_str(), "windows %zu", &k) != 1) {
-    return Status::InvalidArgument("malformed 'windows' line: " + line);
-  }
-  const size_t n = series.column_count;
-  // Per-column vector sections share one reader: `selcnt` holds u64 counts
-  // but doubles read them losslessly up to 2^53 — far beyond any ring.
-  auto read_doubles = [&](const char* tag, std::vector<double>* out_values) {
-    if (!NextLine(in, &line)) return false;
-    std::istringstream fields(line);
-    std::string got;
-    if (!(fields >> got) || got != tag) return false;
-    double value = 0;
-    while (fields >> value) out_values->push_back(value);
-    return out_values->size() == n;
-  };
-  for (size_t i = 0; i < k; ++i) {
-    WorkloadWindowSnapshot w;
-    if (!NextLine(in, &line) ||
-        std::sscanf(line.c_str(),
-                    "window %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64
-                    " %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64
-                    " %" SCNu64,
-                    &w.index, &w.start_ns, &w.simulated_ns, &w.queries,
-                    &w.failures, &w.index_steps, &w.scan_steps,
-                    &w.probe_steps, &w.rescan_steps) != 9) {
-      return Status::InvalidArgument("malformed 'window' line: " + line);
-    }
-    std::vector<double> counts;
-    if (!read_doubles("freq", &w.column_frequency) ||
-        !read_doubles("selsum", &w.selectivity_sum) ||
-        !read_doubles("selcnt", &counts)) {
-      return Status::InvalidArgument(
-          "malformed per-column section in window " + std::to_string(i));
-    }
-    w.selectivity_samples.reserve(n);
-    for (double c : counts) {
-      if (c < 0) {
-        return Status::InvalidArgument("negative selectivity sample count");
-      }
-      w.selectivity_samples.push_back(uint64_t(c));
-    }
-    size_t t = 0;
-    if (!NextLine(in, &line) ||
-        std::sscanf(line.c_str(), "templates %zu", &t) != 1) {
-      return Status::InvalidArgument("malformed 'templates' line: " + line);
-    }
-    for (size_t j = 0; j < t; ++j) {
-      if (!NextLine(in, &line)) {
-        return Status::InvalidArgument("unexpected EOF in templates");
-      }
-      std::istringstream fields(line);
-      uint64_t count = 0;
-      if (!(fields >> count)) {
-        return Status::InvalidArgument("malformed template line: " + line);
-      }
-      std::vector<ColumnId> columns;
-      ColumnId column;
-      while (fields >> column) {
-        if (column >= n) {
-          return Status::InvalidArgument(
-              "template references unknown column: " + line);
-        }
-        columns.push_back(column);
-      }
-      if (columns.empty()) {
-        return Status::InvalidArgument("template without columns: " + line);
-      }
-      w.templates[columns] = count;
-    }
-    series.windows.push_back(std::move(w));
-  }
-  return series;
-}
-
-Status WriteWorkloadWindowsFile(const std::string& path,
-                                const WorkloadWindowSeries& series) {
-  std::ofstream out(path);
-  if (!out) return Status::Internal("cannot open for writing: " + path);
-  out << SerializeWorkloadWindows(series);
-  if (!out) return Status::Internal("write failed: " + path);
-  return Status::Ok();
-}
-
-StatusOr<WorkloadWindowSeries> ReadWorkloadWindowsFile(
-    const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open: " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return ParseWorkloadWindows(text.str());
 }
 
 std::string FrontierToCsv(const ExplicitFrontier& frontier,

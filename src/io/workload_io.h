@@ -6,7 +6,6 @@
 #include "common/status.h"
 #include "selection/selectors.h"
 #include "workload/workload.h"
-#include "workload/workload_monitor.h"
 
 namespace hytap {
 
@@ -27,32 +26,6 @@ StatusOr<Workload> ParseWorkload(const std::string& text);
 /// File convenience wrappers.
 Status WriteWorkloadFile(const std::string& path, const Workload& workload);
 StatusOr<Workload> ReadWorkloadFile(const std::string& path);
-
-/// Plain-text serialization of a workload-monitor window series (the
-/// monitor's Export()), so doctor snapshots are replayable in benches.
-///
-/// Format (line oriented, '#' comments):
-///   hytap-workload-windows v1
-///   columns <N> window_ns <W>
-///   windows <K>
-///   # per window:
-///   window <index> <start_ns> <simulated_ns> <queries> <failures>
-///          <index_steps> <scan_steps> <probe_steps> <rescan_steps>
-///   freq <N doubles>
-///   selsum <N doubles>
-///   selcnt <N u64>
-///   templates <T>
-///   <count> <col> [<col> ...]                # T lines
-std::string SerializeWorkloadWindows(const WorkloadWindowSeries& series);
-
-/// Parses the format above; returns a descriptive error on malformed input.
-StatusOr<WorkloadWindowSeries> ParseWorkloadWindows(const std::string& text);
-
-/// File convenience wrappers.
-Status WriteWorkloadWindowsFile(const std::string& path,
-                                const WorkloadWindowSeries& series);
-StatusOr<WorkloadWindowSeries> ReadWorkloadWindowsFile(
-    const std::string& path);
 
 /// CSV rendering of an explicit Pareto frontier: one line per step with the
 /// column name, critical alpha, cumulative DRAM bytes, and scan cost.

@@ -45,15 +45,6 @@ void PlanCache::RecordObserved(const Query& query,
   }
 }
 
-std::vector<double> PlanCache::ColumnFrequencies(const Table& table) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<double> g(table.column_count(), 0.0);
-  for (const auto& [columns, stats] : templates_) {
-    for (ColumnId c : columns) g[c] += static_cast<double>(stats.count);
-  }
-  return g;
-}
-
 Workload PlanCache::ToWorkload(const Table& table) const {
   std::lock_guard<std::mutex> lock(mutex_);
   Workload workload;

@@ -45,9 +45,6 @@ class PlanCache {
     return total_;
   }
 
-  /// Weighted occurrence count g_i per column of `table`.
-  std::vector<double> ColumnFrequencies(const Table& table) const;
-
   /// Exports the recorded workload for the selection model, taking column
   /// sizes a_i from `table` and selectivities s_i from observed-step sample
   /// means where available (falling back to the table-static estimate).

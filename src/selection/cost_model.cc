@@ -15,7 +15,9 @@ CostModel::CostModel(const Workload& workload, ScanCostParams params,
                "cost parameters must be positive");
   workload.Check();
   const size_t n = workload.column_count();
-  weighted_mass_.assign(n, 0.0);
+  // s_coeff_ first accumulates each column's weighted access mass
+  // sum_j b_j * D_{j,i}, then turns into S_i in place below.
+  s_coeff_.assign(n, 0.0);
 
   // For each query, order its columns by ascending selectivity (ties by
   // index: a fixed deterministic execution order) and accumulate the
@@ -31,18 +33,18 @@ CostModel::CostModel(const Workload& workload, ScanCostParams params,
     });
     double discount = 1.0;
     for (uint32_t c : cols) {
-      weighted_mass_[c] += q.frequency * discount;
+      s_coeff_[c] += q.frequency * discount;
       if (selection_interaction_) discount *= workload.selectivities[c];
     }
   }
 
-  s_coeff_.assign(n, 0.0);
   all_dram_cost_ = 0.0;
   all_secondary_cost_ = 0.0;
   total_bytes_ = 0.0;
   for (size_t i = 0; i < n; ++i) {
-    const double accessed = workload.column_sizes[i] * weighted_mass_[i];
-    s_coeff_[i] = (params_.c_mm - params_.c_ss) * weighted_mass_[i];
+    const double mass = s_coeff_[i];
+    const double accessed = workload.column_sizes[i] * mass;
+    s_coeff_[i] = (params_.c_mm - params_.c_ss) * mass;
     all_dram_cost_ += params_.c_mm * accessed;
     all_secondary_cost_ += params_.c_ss * accessed;
     total_bytes_ += workload.column_sizes[i];

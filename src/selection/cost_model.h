@@ -72,8 +72,7 @@ class CostModel {
   const Workload* workload_;
   ScanCostParams params_;
   bool selection_interaction_;
-  std::vector<double> s_coeff_;        // S_i
-  std::vector<double> weighted_mass_;  // sum_j b_j * D_{j,i} per column
+  std::vector<double> s_coeff_;  // S_i
   double all_dram_cost_;
   double all_secondary_cost_;
   double total_bytes_;

@@ -30,7 +30,8 @@ SelectionResult SelectHeuristic(const SelectionProblem& problem,
   std::vector<uint32_t> order;
   order.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    if (g[i] > 0.0) order.push_back(static_cast<uint32_t>(i));
+    const bool pinned = !problem.pinned.empty() && problem.pinned[i] != 0;
+    if (g[i] > 0.0 && !pinned) order.push_back(static_cast<uint32_t>(i));
   }
   std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     switch (kind) {
@@ -45,26 +46,9 @@ SelectionResult SelectHeuristic(const SelectionProblem& problem,
     HYTAP_UNREACHABLE("invalid heuristic kind");
   });
 
-  std::vector<uint8_t> in_dram(n, 0);
-  double used = 0.0;
-  if (!problem.pinned.empty()) {
-    for (size_t i = 0; i < n; ++i) {
-      if (problem.pinned[i]) {
-        in_dram[i] = 1;
-        used += workload.column_sizes[i];
-      }
-    }
-  }
-  for (uint32_t c : order) {
-    if (in_dram[c]) continue;
-    const double a = workload.column_sizes[c];
-    // Filling rule: skip what does not fit, keep trying later columns.
-    if (used + a <= problem.budget_bytes + 1e-9) {
-      in_dram[c] = 1;
-      used += a;
-    }
-  }
-  SelectionResult result = FinishResult(problem, model, std::move(in_dram));
+  // Filling rule: skip what does not fit, keep trying later columns.
+  SelectionResult result = FinishResult(
+      problem, model, FillInOrder(problem, order, /*filling=*/true));
   result.solve_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -5,6 +5,7 @@
 
 #include "common/assert.h"
 #include "selection/cost_model.h"
+#include "solver/portfolio.h"
 
 namespace hytap {
 
@@ -15,24 +16,16 @@ double BetaFromMigrationWindow(double move_ns_per_byte,
   return move_ns_per_byte / horizon;
 }
 
-ReallocationResult SelectWithReallocation(const SelectionProblem& problem,
-                                          const ReallocationOptions& options) {
+ReallocationResult SelectWithReallocation(const SelectionProblem& problem) {
   HYTAP_ASSERT(problem.workload != nullptr, "problem needs a workload");
   HYTAP_ASSERT(problem.current.size() == problem.workload->column_count(),
                "reallocation needs the current allocation y");
   HYTAP_ASSERT(problem.beta >= 0.0, "beta must be non-negative");
 
   ReallocationResult result;
-  if (options.use_portfolio) {
-    SolverPortfolio portfolio(options.portfolio);
-    PortfolioResult solved = portfolio.Solve(problem);
-    result.selection = std::move(solved.selection);
-    result.winner = std::move(solved.winner);
-    result.gap = solved.gap;
-    result.deadline_hit = solved.deadline_hit;
-  } else {
-    result.selection = SelectExplicit(problem, /*filling=*/true);
-  }
+  PortfolioResult solved = SolverPortfolio().Solve(problem);
+  result.selection = std::move(solved.selection);
+  result.winner = std::move(solved.winner);
 
   // F(y): price staying put under the same model. The move term is zero at
   // x = y, so the plain scan cost is the full objective of the status quo.

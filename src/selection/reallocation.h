@@ -5,29 +5,16 @@
 #include <string>
 
 #include "selection/selectors.h"
-#include "solver/portfolio.h"
 
 namespace hytap {
-
-/// How SelectWithReallocation solves the reallocation-aware problem.
-struct ReallocationOptions {
-  /// Race the anytime solver portfolio (exact B&B, explicit, greedy) under
-  /// `portfolio.budget_ms`; false = one-shot explicit solution. With an
-  /// unlimited budget the portfolio result is the deterministic exact
-  /// optimum, so the re-tiering daemon stays bit-identical across runs.
-  bool use_portfolio = true;
-  PortfolioOptions portfolio = PortfolioOptions::FromEnv();
-};
 
 /// Result of one reallocation-aware selection (paper eqs (6)-(7), §III-D):
 /// the winning allocation plus the move bookkeeping the re-tiering daemon
 /// plans from.
 struct ReallocationResult {
   SelectionResult selection;
-  /// Portfolio mode only: winning solver name, gap vs LP bound, deadline.
+  /// The portfolio solver whose placement won the race.
   std::string winner;
-  double gap = 0.0;
-  bool deadline_hit = false;
   /// Columns whose tier changes vs the current allocation y, and the bytes
   /// those moves migrate.
   uint64_t planned_moves = 0;
@@ -45,11 +32,12 @@ struct ReallocationResult {
 /// Solves the selection problem with the reallocation term
 ///   c_i(x_i) = a_i * (S_i x_i + alpha x_i) + beta * a_i * |x_i - y_i|
 /// for the current allocation y = `problem.current` and move weight
-/// `problem.beta` (both must be set; beta may be 0). Every selector prices
-/// the move term through the shared KnapsackView, so the portfolio race and
-/// the explicit path optimize the identical objective.
-ReallocationResult SelectWithReallocation(
-    const SelectionProblem& problem, const ReallocationOptions& options = {});
+/// `problem.beta` (both must be set; beta may be 0) by racing the anytime
+/// solver portfolio (PortfolioOptions::FromEnv(): an unlimited budget, so
+/// the result is the deterministic exact optimum and the re-tiering daemon
+/// stays bit-identical across runs). Every racing solver prices the move
+/// term through the shared KnapsackView.
+ReallocationResult SelectWithReallocation(const SelectionProblem& problem);
 
 /// Sizes beta from the maintenance window (§III-D): a move costs
 /// `move_ns_per_byte` once, and the plan is amortized over the next

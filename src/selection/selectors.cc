@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "common/assert.h"
 #include "solver/branch_and_bound.h"
@@ -22,17 +21,19 @@ double Seconds(Clock::time_point start) {
 
 /// Per-byte linear coefficient theta_i = S_i + beta * (1 - 2 y_i):
 /// x_i = 1 improves the objective iff theta_i + alpha < 0 (paper eq. (9)).
-std::vector<double> ThetaCoefficients(const SelectionProblem& problem,
-                                      const CostModel& model) {
+/// Without a reallocation term theta is the model's S itself and no copy is
+/// made; otherwise it is built in `*storage`.
+const std::vector<double>& ThetaCoefficients(const SelectionProblem& problem,
+                                             const CostModel& model,
+                                             std::vector<double>* storage) {
+  if (problem.current.empty() || problem.beta == 0.0) return model.S();
   const size_t n = problem.workload->column_count();
-  std::vector<double> theta(model.S());
-  if (!problem.current.empty() && problem.beta != 0.0) {
-    HYTAP_ASSERT(problem.current.size() == n, "current allocation arity");
-    for (size_t i = 0; i < n; ++i) {
-      theta[i] += problem.beta * (1.0 - 2.0 * double(problem.current[i]));
-    }
+  HYTAP_ASSERT(problem.current.size() == n, "current allocation arity");
+  *storage = model.S();
+  for (size_t i = 0; i < n; ++i) {
+    (*storage)[i] += problem.beta * (1.0 - 2.0 * double(problem.current[i]));
   }
-  return theta;
+  return *storage;
 }
 
 bool IsPinned(const SelectionProblem& problem, size_t i) {
@@ -46,6 +47,48 @@ double PinnedBytes(const SelectionProblem& problem) {
     if (problem.pinned[i]) bytes += problem.workload->column_sizes[i];
   }
   return bytes;
+}
+
+/// Sorts `ids` by theta ascending, ties by id: the comparator of the
+/// performance order o_i (Theorem 2, Remark 1).
+void SortByTheta(const std::vector<double>& theta, std::vector<uint32_t>* ids) {
+  std::sort(ids->begin(), ids->end(), [&](uint32_t a, uint32_t b) {
+    if (theta[a] != theta[b]) return theta[a] < theta[b];
+    return a < b;
+  });
+}
+
+/// The performance order: the unpinned indices with theta < 0, sorted by
+/// theta. The explicit selector, the frontier, the Dantzig bound and the
+/// portfolio's explicit and greedy lanes all walk this one order.
+std::vector<uint32_t> PerformanceOrder(const std::vector<double>& theta,
+                                       const std::vector<uint8_t>& pinned) {
+  std::vector<uint32_t> order;
+  order.reserve(theta.size());
+  for (size_t i = 0; i < theta.size(); ++i) {
+    if (theta[i] < 0.0 && (pinned.empty() || pinned[i] == 0)) {
+      order.push_back(uint32_t(i));
+    }
+  }
+  SortByTheta(theta, &order);
+  return order;
+}
+
+/// The fill walk (see FillInOrder): marks each entry of `order` whose
+/// `size_of` still fits used + size <= budget + 1e-9, starting from `used`
+/// bytes; a strict walk stops at the first entry that does not fit.
+template <typename SizeOf>
+void Walk(const std::vector<uint32_t>& order, SizeOf size_of, double used,
+          double budget, bool filling, std::vector<uint8_t>* taken) {
+  for (uint32_t k : order) {
+    const double a = size_of(k);
+    if (used + a <= budget + 1e-9) {
+      (*taken)[k] = 1;
+      used += a;
+    } else if (!filling) {
+      break;
+    }
+  }
 }
 
 }  // namespace
@@ -95,29 +138,41 @@ std::vector<uint8_t> KnapsackView::Expand(
   return in_dram;
 }
 
+std::vector<uint8_t> KnapsackView::Fill(bool filling) const {
+  std::vector<uint8_t> take(items.size(), 0);
+  Walk(order, [&](uint32_t k) { return items[k].weight; }, pinned_bytes,
+       budget_bytes, filling, &take);
+  return take;
+}
+
 KnapsackView BuildKnapsackView(const SelectionProblem& problem,
                                const CostModel& model) {
-  const std::vector<double> theta = ThetaCoefficients(problem, model);
+  std::vector<double> storage;
+  const std::vector<double>& theta =
+      ThetaCoefficients(problem, model, &storage);
   const size_t n = problem.workload->column_count();
-  const double pinned_bytes = PinnedBytes(problem);
-  HYTAP_ASSERT(pinned_bytes <= problem.budget_bytes + 1e-9,
-               "pinned columns exceed the DRAM budget");
-
   KnapsackView view;
-  view.capacity = problem.budget_bytes - pinned_bytes;
+  view.budget_bytes = problem.budget_bytes;
+  view.pinned_bytes = PinnedBytes(problem);
+  HYTAP_ASSERT(view.pinned_bytes <= problem.budget_bytes + 1e-9,
+               "pinned columns exceed the DRAM budget");
+  view.capacity = view.budget_bytes - view.pinned_bytes;
   view.base.assign(n, 0);
+  std::vector<double> item_theta;
   for (size_t i = 0; i < n; ++i) {
-    if (IsPinned(problem, i)) view.base[i] = 1;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (IsPinned(problem, i)) continue;
+    if (IsPinned(problem, i)) {
+      view.base[i] = 1;
+      continue;
+    }
     const double profit = -problem.workload->column_sizes[i] * theta[i];
     if (profit > 0.0) {
       view.items.push_back(
           KnapsackItem{profit, problem.workload->column_sizes[i]});
       view.item_columns.push_back(i);
+      item_theta.push_back(theta[i]);
     }
   }
+  view.order = PerformanceOrder(item_theta, {});
 
   view.base_objective = model.ScanCost(view.base);
   if (!problem.current.empty() && problem.beta != 0.0) {
@@ -129,19 +184,12 @@ KnapsackView BuildKnapsackView(const SelectionProblem& problem,
     }
   }
 
-  // Dantzig bound: fill by profit density, fractional head on the first item
-  // that no longer fits. This is exactly the LP-relaxation (4) optimum
-  // restricted to the profitable items, without the O(N^2) dense simplex.
-  std::vector<size_t> order(view.items.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const double da = view.items[a].profit * view.items[b].weight;
-    const double db = view.items[b].profit * view.items[a].weight;
-    if (da != db) return da > db;
-    return a < b;
-  });
+  // Dantzig bound: the fractional fill of the performance order, its head
+  // on the first item that no longer fits. This is exactly the
+  // LP-relaxation (4) optimum restricted to the profitable items, without
+  // the O(N^2) dense simplex.
   double remaining = view.capacity;
-  for (size_t k : order) {
+  for (uint32_t k : view.order) {
     if (remaining <= 0.0) break;
     const KnapsackItem& item = view.items[k];
     if (item.weight <= remaining) {
@@ -184,7 +232,9 @@ SelectionResult SelectContinuousPenalty(const SelectionProblem& problem,
   const auto start = Clock::now();
   HYTAP_ASSERT(alpha >= 0.0, "penalty alpha must be non-negative");
   CostModel model(*problem.workload, problem.params);
-  const std::vector<double> theta = ThetaCoefficients(problem, model);
+  std::vector<double> storage;
+  const std::vector<double>& theta =
+      ThetaCoefficients(problem, model, &storage);
   const size_t n = problem.workload->column_count();
   std::vector<uint8_t> in_dram(n, 0);
   for (size_t i = 0; i < n; ++i) {
@@ -195,45 +245,25 @@ SelectionResult SelectContinuousPenalty(const SelectionProblem& problem,
   return result;
 }
 
-std::vector<uint8_t> ExplicitFrontier::AllocationFor(
-    double budget_bytes, size_t n, bool filling,
-    const std::vector<double>& sizes) const {
-  std::vector<uint8_t> in_dram(n, 0);
-  double used = 0.0;
-  for (const FrontierPoint& point : points) {
-    const double size = sizes[point.column];
-    if (used + size <= budget_bytes + 1e-9) {
-      in_dram[point.column] = 1;
-      used += size;
-    } else if (!filling) {
-      break;  // strict prefix of the performance order
-    }
-    // With filling (Remark 2), later (smaller) columns may still fit.
-  }
-  return in_dram;
-}
-
 ExplicitFrontier ComputeExplicitFrontier(const SelectionProblem& problem) {
   CostModel model(*problem.workload, problem.params);
-  const std::vector<double> theta = ThetaCoefficients(problem, model);
+  std::vector<double> storage;
+  const std::vector<double>& theta =
+      ThetaCoefficients(problem, model, &storage);
   const size_t n = problem.workload->column_count();
 
-  // Performance order o_i: pinned columns first (alpha = +inf), then columns
-  // by descending critical alpha_i = -theta_i, keeping only those whose
-  // selection can ever improve the objective (alpha_i > 0).
+  // Pinned columns first (alpha = +inf; by theta among themselves), then
+  // the performance order: the columns by descending critical
+  // alpha_i = -theta_i, keeping only those whose selection can ever improve
+  // the objective (alpha_i > 0).
   std::vector<uint32_t> order;
-  order.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    if (IsPinned(problem, i) || theta[i] < 0.0) {
-      order.push_back(static_cast<uint32_t>(i));
-    }
+    if (IsPinned(problem, i)) order.push_back(uint32_t(i));
   }
-  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    const bool pa = IsPinned(problem, a);
-    const bool pb = IsPinned(problem, b);
-    if (pa != pb) return pa;
-    return theta[a] < theta[b];
-  });
+  SortByTheta(theta, &order);
+  const std::vector<uint32_t> performance =
+      PerformanceOrder(theta, problem.pinned);
+  order.insert(order.end(), performance.begin(), performance.end());
 
   ExplicitFrontier frontier;
   frontier.points.reserve(order.size());
@@ -266,70 +296,45 @@ ExplicitFrontier ComputeExplicitFrontier(const SelectionProblem& problem) {
   return frontier;
 }
 
+std::vector<uint8_t> FillInOrder(const SelectionProblem& problem,
+                                 const std::vector<uint32_t>& order,
+                                 bool filling) {
+  const std::vector<double>& sizes = problem.workload->column_sizes;
+  std::vector<uint8_t> in_dram(sizes.size(), 0);
+  for (size_t i = 0; i < in_dram.size(); ++i) {
+    if (IsPinned(problem, i)) in_dram[i] = 1;
+  }
+  Walk(order, [&](uint32_t c) { return sizes[c]; }, PinnedBytes(problem),
+       problem.budget_bytes, filling, &in_dram);
+  return in_dram;
+}
+
 SelectionResult SelectExplicit(const SelectionProblem& problem,
                                bool filling) {
   const auto start = Clock::now();
   CostModel model(*problem.workload, problem.params);
   const double model_seconds = Seconds(start);
-  ExplicitFrontier frontier = ComputeExplicitFrontier(problem);
-  std::vector<uint8_t> in_dram = frontier.AllocationFor(
-      problem.budget_bytes, problem.workload->column_count(), filling,
-      problem.workload->column_sizes);
-  SelectionResult result = FinishResult(problem, model, std::move(in_dram));
+  std::vector<double> storage;
+  const std::vector<uint32_t> order = PerformanceOrder(
+      ThetaCoefficients(problem, model, &storage), problem.pinned);
+  SelectionResult result =
+      FinishResult(problem, model, FillInOrder(problem, order, filling));
   result.solve_seconds = Seconds(start);
   result.model_seconds = model_seconds;
   return result;
 }
 
 SelectionResult SelectGreedyMarginal(const SelectionProblem& problem) {
-  const auto start = Clock::now();
-  CostModel model(*problem.workload, problem.params);
-  const double model_seconds = Seconds(start);
-  const std::vector<double> theta = ThetaCoefficients(problem, model);
-  const size_t n = problem.workload->column_count();
-  std::vector<uint8_t> in_dram(n, 0);
-  double used = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    if (IsPinned(problem, i)) {
-      in_dram[i] = 1;
-      used += problem.workload->column_sizes[i];
-    }
-  }
-  // Remark 3: repeatedly add the column with the best additional performance
-  // per additional DRAM byte. For the separable model the gain per byte of
-  // column i is the constant -theta_i (scan-cost delta plus the flipped move
-  // term), so the repeated argmax is a single pass over the columns sorted by
-  // theta ascending (ties by index, matching the old first-index argmax).
-  // A column skipped for space never fits again — `used` only grows — so the
-  // fill-with-skip scan reproduces the historical O(N^2) loop exactly.
-  std::vector<uint32_t> order;
-  order.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!IsPinned(problem, i) && theta[i] < 0.0) {
-      order.push_back(uint32_t(i));
-    }
-  }
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    if (theta[a] != theta[b]) return theta[a] < theta[b];
-    return a < b;
-  });
-  for (uint32_t i : order) {
-    const double a = problem.workload->column_sizes[i];
-    if (used + a > problem.budget_bytes + 1e-9) continue;
-    in_dram[i] = 1;
-    used += a;
-  }
-  SelectionResult result = FinishResult(problem, model, std::move(in_dram));
-  result.solve_seconds = Seconds(start);
-  result.model_seconds = model_seconds;
-  return result;
+  return SelectExplicit(problem, /*filling=*/true);
 }
 
 SelectionResult SelectContinuousSimplex(const SelectionProblem& problem,
                                         double alpha) {
   const auto start = Clock::now();
   CostModel model(*problem.workload, problem.params);
-  const std::vector<double> theta = ThetaCoefficients(problem, model);
+  std::vector<double> storage;
+  const std::vector<double>& theta =
+      ThetaCoefficients(problem, model, &storage);
   const size_t n = problem.workload->column_count();
   // Problem (5)/(6) over x in [0,1]^N. For binary y the reallocation term is
   // linear in x (|x-0| = x, |x-1| = 1-x), so no auxiliary z variables are

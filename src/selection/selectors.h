@@ -56,7 +56,11 @@ struct SelectionResult {
 struct KnapsackView {
   std::vector<KnapsackItem> items;
   std::vector<size_t> item_columns;  // item k -> column index
-  double capacity = 0.0;             // budget_bytes minus pinned bytes
+  /// The items in the performance order (theta ascending, ties by column).
+  std::vector<uint32_t> order;
+  double budget_bytes = 0.0;
+  double pinned_bytes = 0.0;
+  double capacity = 0.0;  // budget_bytes minus pinned_bytes
   /// Pinned-only baseline allocation (size N). Objective of a take-vector:
   /// base_objective - sum of taken profits.
   std::vector<uint8_t> base;
@@ -69,6 +73,9 @@ struct KnapsackView {
   /// Expands an item take-vector (size items.size()) into a full column
   /// allocation with the pinned columns forced in.
   std::vector<uint8_t> Expand(const std::vector<uint8_t>& take) const;
+  /// The take-vector of FillInOrder over `order`: Expand() of it is the
+  /// allocation SelectExplicit(problem, filling) returns.
+  std::vector<uint8_t> Fill(bool filling) const;
   /// LP lower bound on the objective.
   double ObjectiveLowerBound() const {
     return base_objective - profit_upper_bound;
@@ -104,26 +111,31 @@ struct FrontierPoint {
 /// O(model build + N log N) without any solver.
 struct ExplicitFrontier {
   std::vector<FrontierPoint> points;  // ascending DRAM usage
-  /// Allocation for a DRAM budget: the longest frontier prefix that fits,
-  /// optionally extended by the Remark-2 filling rule (columns of higher
-  /// order that still fit).
-  std::vector<uint8_t> AllocationFor(double budget_bytes, size_t n,
-                                     bool filling,
-                                     const std::vector<double>& sizes) const;
 };
 
 ExplicitFrontier ComputeExplicitFrontier(const SelectionProblem& problem);
 
-/// Explicit solution for a budget (Theorem 2 + optional Remark-2 filling).
+/// The fill walk behind every explicit, greedy and heuristic allocation:
+/// the pinned columns first (their bytes count against the budget), then
+/// `order` (non-pinned column ids), placing each column while
+/// used + a_i <= budget + 1e-9. A strict walk stops at the first column that
+/// does not fit, which is the Pareto prefix of Theorem 2; a filling walk
+/// skips it and keeps trying the later columns (Remark 2).
+std::vector<uint8_t> FillInOrder(const SelectionProblem& problem,
+                                 const std::vector<uint32_t>& order,
+                                 bool filling);
+
+/// Explicit solution for a budget (Theorem 2 + optional Remark-2 filling):
+/// FillInOrder over the performance order o_i, the non-pinned columns with
+/// theta_i < 0 sorted by theta_i ascending, ties by column id.
 SelectionResult SelectExplicit(const SelectionProblem& problem,
                                bool filling = true);
 
 /// Remark-3 greedy: repeatedly add the column maximizing additional
 /// performance per additional DRAM used. For the separable linear cost model
-/// the marginal gain per byte of column i is the constant -theta_i, so the
-/// historical O(N^2) re-evaluation loop collapses to one sort plus a
-/// fill-with-skip scan — O(N log N), which is what lets explicit selection
-/// run at N = 10^6 items (Table-2 scaling).
+/// the marginal gain per byte of column i is the constant -theta_i, and a
+/// column skipped for space never fits again, so the greedy is the filling
+/// walk of the performance order: SelectExplicit(problem, true).
 SelectionResult SelectGreedyMarginal(const SelectionProblem& problem);
 
 /// Solves the continuous penalty problem (5) through the dense simplex

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "common/assert.h"
 #include "common/env.h"
@@ -57,28 +56,10 @@ struct SolverMetrics {
   }
 };
 
-/// Items sorted by profit density descending (= theta ascending for the
-/// selection problem), ties by item index: the performance order o_i that
-/// both heuristics walk.
-std::vector<size_t> DensityOrder(const std::vector<KnapsackItem>& items) {
-  std::vector<size_t> order(items.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const double da = items[a].profit * items[b].weight;
-    const double db = items[b].profit * items[a].weight;
-    if (da != db) return da > db;
-    return a < b;
-  });
-  return order;
-}
-
 class ExactBnbSolver final : public PlacementSolver {
  public:
-  ExactBnbSolver(const KnapsackView* view, uint32_t workers,
-                 uint64_t max_nodes)
-      : PlacementSolver("exact", view),
-        workers_(workers),
-        max_nodes_(max_nodes) {}
+  ExactBnbSolver(const KnapsackView* view, uint32_t workers)
+      : PlacementSolver("exact", view), workers_(workers) {}
 
   uint64_t nodes() const override {
     return nodes_.load(std::memory_order_relaxed);
@@ -90,7 +71,6 @@ class ExactBnbSolver final : public PlacementSolver {
  protected:
   void Solve() override {
     KnapsackOptions options;
-    options.max_nodes = max_nodes_;
     options.workers = workers_;
     options.cancel = &stop_;
     options.on_improve = [this](double profit, double /*weight*/,
@@ -112,74 +92,35 @@ class ExactBnbSolver final : public PlacementSolver {
 
  private:
   const uint32_t workers_;
-  const uint64_t max_nodes_;
   std::atomic<uint64_t> nodes_{0};
   std::atomic<uint64_t> pruned_{0};
 };
 
-class ExplicitSolver final : public PlacementSolver {
+/// The explicit (strict) and greedy (filling) lanes: one walk of the view's
+/// performance order, the allocation SelectExplicit returns.
+class OrderSolver final : public PlacementSolver {
  public:
-  explicit ExplicitSolver(const KnapsackView* view)
-      : PlacementSolver("explicit", view) {}
+  OrderSolver(const KnapsackView* view, bool filling)
+      : PlacementSolver(filling ? "greedy" : "explicit", view),
+        filling_(filling) {}
 
  protected:
   void Solve() override {
-    // Theorem 2: the strict prefix of the performance order that fits the
-    // budget (no filling — that is the greedy solver's variant).
-    const std::vector<size_t> order = DensityOrder(view().items);
-    std::vector<uint8_t> take(view().items.size(), 0);
-    double used = 0.0;
+    if (filling_) {
+      // Publish the feasible baseline first: even an immediately cancelled
+      // portfolio run holds a valid incumbent.
+      Publish(std::vector<uint8_t>(view().items.size(), 0), 0.0);
+    }
+    const std::vector<uint8_t> take = view().Fill(filling_);
     double profit = 0.0;
-    size_t placed = 0;
-    for (size_t k : order) {
-      if ((++placed & 0xFFFF) == 0 && StopRequested()) {
-        Publish(take, profit);
-        return;
-      }
-      const KnapsackItem& item = view().items[k];
-      if (used + item.weight > view().capacity + 1e-9 * view().capacity) {
-        break;
-      }
-      take[k] = 1;
-      used += item.weight;
-      profit += item.profit;
+    for (size_t k = 0; k < take.size(); ++k) {
+      if (take[k]) profit += view().items[k].profit;
     }
     Publish(take, profit);
   }
-};
 
-class GreedySolver final : public PlacementSolver {
- public:
-  explicit GreedySolver(const KnapsackView* view)
-      : PlacementSolver("greedy", view) {}
-
- protected:
-  void Solve() override {
-    // Publish the feasible baseline first: even an immediately cancelled
-    // portfolio run holds a valid incumbent.
-    std::vector<uint8_t> take(view().items.size(), 0);
-    Publish(take, 0.0);
-    // Remark 2/3: performance order with fill-with-skip — items that do not
-    // fit are skipped, later (smaller) items may still fit.
-    const std::vector<size_t> order = DensityOrder(view().items);
-    double used = 0.0;
-    double profit = 0.0;
-    size_t scanned = 0;
-    for (size_t k : order) {
-      if ((++scanned & 0xFFFF) == 0) {
-        Publish(take, profit);
-        if (StopRequested()) return;
-      }
-      const KnapsackItem& item = view().items[k];
-      if (used + item.weight > view().capacity + 1e-9 * view().capacity) {
-        continue;
-      }
-      take[k] = 1;
-      used += item.weight;
-      profit += item.profit;
-    }
-    Publish(take, profit);
-  }
+ private:
+  const bool filling_;
 };
 
 }  // namespace
@@ -249,17 +190,16 @@ void PlacementSolver::PublishLocked(const std::vector<uint8_t>& take,
 }
 
 std::unique_ptr<PlacementSolver> MakeExactBnbSolver(const KnapsackView* view,
-                                                    uint32_t workers,
-                                                    uint64_t max_nodes) {
-  return std::make_unique<ExactBnbSolver>(view, workers, max_nodes);
+                                                    uint32_t workers) {
+  return std::make_unique<ExactBnbSolver>(view, workers);
 }
 
 std::unique_ptr<PlacementSolver> MakeExplicitSolver(const KnapsackView* view) {
-  return std::make_unique<ExplicitSolver>(view);
+  return std::make_unique<OrderSolver>(view, /*filling=*/false);
 }
 
 std::unique_ptr<PlacementSolver> MakeGreedySolver(const KnapsackView* view) {
-  return std::make_unique<GreedySolver>(view);
+  return std::make_unique<OrderSolver>(view, /*filling=*/true);
 }
 
 PortfolioOptions PortfolioOptions::FromEnv() {
@@ -284,13 +224,9 @@ PortfolioResult SolverPortfolio::Solve(const SelectionProblem& problem) {
           : uint32_t(ThreadPool::DefaultWorkerCount());
 
   std::vector<std::unique_ptr<PlacementSolver>> solvers;
-  if (options_.run_exact) {
-    solvers.push_back(
-        MakeExactBnbSolver(&view, workers, options_.max_nodes));
-  }
-  if (options_.run_explicit) solvers.push_back(MakeExplicitSolver(&view));
-  if (options_.run_greedy) solvers.push_back(MakeGreedySolver(&view));
-  HYTAP_ASSERT(!solvers.empty(), "portfolio needs at least one solver");
+  solvers.push_back(MakeExactBnbSolver(&view, workers));
+  solvers.push_back(MakeExplicitSolver(&view));
+  solvers.push_back(MakeGreedySolver(&view));
 
   for (auto& solver : solvers) solver->StartSolving();
 

@@ -71,13 +71,10 @@ class PlacementSolver {
   virtual uint64_t pruned() const { return 0; }
 
  protected:
-  /// Runs on the control thread; must poll StopRequested() and Publish()
-  /// improvements as it goes.
+  /// Runs on the control thread and Publish()es improvements as it goes; a
+  /// search that can outlast a deadline polls `stop_`.
   virtual void Solve() = 0;
 
-  bool StopRequested() const {
-    return stop_.load(std::memory_order_relaxed);
-  }
   const KnapsackView& view() const { return *view_; }
   /// Installs `take` as the incumbent if its profit strictly improves.
   void Publish(const std::vector<uint8_t>& take, double profit);
@@ -111,14 +108,13 @@ class PlacementSolver {
 /// Exact parallel branch-and-bound (SolveKnapsack) with anytime incumbent
 /// publication; `workers` node-expansion lanes on the shared ThreadPool.
 std::unique_ptr<PlacementSolver> MakeExactBnbSolver(const KnapsackView* view,
-                                                    uint32_t workers,
-                                                    uint64_t max_nodes);
-/// Explicit Schlosser solution (Theorem 2): strict prefix of the
-/// performance order, O(K log K).
+                                                    uint32_t workers);
+/// Explicit Schlosser solution (Theorem 2): the strict prefix of the view's
+/// performance order, the allocation of SelectExplicit(problem, false).
 std::unique_ptr<PlacementSolver> MakeExplicitSolver(const KnapsackView* view);
-/// Remark-2/3 greedy: density order with fill-with-skip; publishes the
-/// empty baseline immediately, then periodic prefixes, so a cancelled run
-/// always holds a valid incumbent.
+/// Remark-2/3 greedy: the filling walk of the view's performance order, the
+/// allocation of SelectExplicit(problem, true). Publishes the empty baseline
+/// first, so a cancelled run always holds a valid incumbent.
 std::unique_ptr<PlacementSolver> MakeGreedySolver(const KnapsackView* view);
 
 struct PortfolioOptions {
@@ -127,10 +123,6 @@ struct PortfolioOptions {
   double budget_ms = 0.0;
   /// B&B node-expansion workers on the shared pool; 0 = pool default.
   uint32_t workers = 0;
-  uint64_t max_nodes = 200'000'000;
-  bool run_exact = true;
-  bool run_explicit = true;
-  bool run_greedy = true;
 
   /// The defaults with HYTAP_SOLVER_THREADS (unset: pool default) applied.
   static PortfolioOptions FromEnv();

@@ -76,8 +76,7 @@ class QueryObservationSink {
   virtual void Observe(const QueryObservation& observation) = 0;
 };
 
-/// Point-in-time copy of one workload window (also the serialization unit of
-/// io/workload_io.h's SerializeWorkloadWindows).
+/// Point-in-time copy of one workload window.
 struct WorkloadWindowSnapshot {
   /// Monotonic window number since the monitor was created/reset.
   uint64_t index = 0;

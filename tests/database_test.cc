@@ -124,8 +124,9 @@ TEST(DatabaseTest, JoinRecordsJoinColumnsInPlanCache) {
   ChQuery19Join join = MakeChQuery19Join(1, 1, 5, 10.0, 60.0);
   db->ExecuteJoin(txn, "orderline", join.orderline, "item", join.item,
                   join.spec);
-  auto g = db->plan_cache("orderline").ColumnFrequencies(
-      *db->GetTable("orderline"));
+  auto g = db->plan_cache("orderline")
+               .ToWorkload(*db->GetTable("orderline"))
+               .ColumnFrequencies();
   EXPECT_GT(g[kOlIId], 0.0);  // the join key counts as accessed
 }
 

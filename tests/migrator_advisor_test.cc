@@ -69,12 +69,20 @@ TEST(AdvisorTest, PinningOverridesModel) {
 TEST(AdvisorTest, AlgorithmsAgreeOnCosts) {
   auto table = MakeOrderline();
   RunTpccWorkload(table.get());
-  AdvisorOptions explicit_opts, integer_opts;
-  integer_opts.algorithm = AdvisorAlgorithm::kIntegerOptimal;
-  Recommendation a = Advisor(explicit_opts).RecommendRelative(*table, 0.4);
-  Recommendation b = Advisor(integer_opts).RecommendRelative(*table, 0.4);
+  Recommendation a = Advisor().RecommendRelative(*table, 0.4);
+  // The integer optimum of the same workload snapshot at the same budget.
+  double total = 0.0;
+  for (ColumnId c = 0; c < table->table().column_count(); ++c) {
+    total += double(table->table().ColumnDramBytes(c));
+  }
+  SelectionProblem problem;
+  problem.workload = &a.workload;
+  problem.params = a.params_used;
+  problem.budget_bytes = 0.4 * total;
+  const SelectionResult b = SelectIntegerOptimal(problem);
+  ASSERT_TRUE(b.optimal);
   // Explicit is within a few percent of optimal on this workload.
-  EXPECT_LE(a.selection.scan_cost, 1.1 * b.selection.scan_cost);
+  EXPECT_LE(a.selection.scan_cost, 1.1 * b.scan_cost);
 }
 
 TEST(AdvisorTest, ApplyChangesPlacement) {

@@ -223,9 +223,8 @@ TEST(PlacementDoctorTest, CalibratedParamsOptIn) {
   EXPECT_EQ(report.calibration_samples, kQueriesPerPhase);
   EXPECT_DOUBLE_EQ(report.params_used.c_mm, report.fitted_params.c_mm);
   EXPECT_DOUBLE_EQ(report.params_used.c_ss, report.fitted_params.c_ss);
-  // The advisor honors the same opt-in.
+  // The advisor honors the same opt-in, reading the table's calibrator.
   AdvisorOptions advisor_options;
-  advisor_options.calibrator = &table->calibrator();
   advisor_options.use_calibrated_params = true;
   Advisor advisor(advisor_options);
   const Recommendation rec = advisor.RecommendRelative(*table, 0.5);

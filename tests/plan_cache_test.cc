@@ -57,7 +57,7 @@ TEST_F(PlanCacheTest, ColumnFrequencies) {
   cache.Record(MakeQuery({0, 1}));
   cache.Record(MakeQuery({0, 1}));
   cache.Record(MakeQuery({1}));
-  auto g = cache.ColumnFrequencies(table_);
+  auto g = cache.ToWorkload(table_).ColumnFrequencies();
   EXPECT_DOUBLE_EQ(g[0], 2.0);
   EXPECT_DOUBLE_EQ(g[1], 3.0);
   EXPECT_DOUBLE_EQ(g[2], 0.0);

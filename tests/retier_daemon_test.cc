@@ -586,36 +586,28 @@ TEST(ReallocationTest, HighBetaFreezesLowBetaMoves) {
   problem.workload = &workload;
   problem.budget_bytes = 0.4 * workload.TotalBytes();
 
-  // Start from a feasible placement: the explicit solution at this budget.
-  const SelectionResult base = SelectExplicit(problem, true);
+  // The plain optimum at this budget, before any current allocation is set.
+  const SelectionResult base = SelectIntegerOptimal(problem);
   problem.current.assign(workload.column_count(), 0);  // all-secondary y
 
-  ReallocationOptions options;
-  options.use_portfolio = false;  // explicit path, no threads needed here
-
   problem.beta = 0.0;
-  const ReallocationResult eager = SelectWithReallocation(problem, options);
+  const ReallocationResult eager = SelectWithReallocation(problem);
   EXPECT_GT(eager.planned_moves, 0u);
   EXPECT_GT(eager.improvement, 0.0);
   // beta = 0: the reallocation objective degenerates to the plain one.
   EXPECT_EQ(eager.selection.in_dram, base.in_dram);
 
   problem.beta = 1e12;  // moving can never pay for itself
-  const ReallocationResult frozen = SelectWithReallocation(problem, options);
+  const ReallocationResult frozen = SelectWithReallocation(problem);
   EXPECT_EQ(frozen.planned_moves, 0u);
   EXPECT_EQ(frozen.selection.in_dram, problem.current);
   EXPECT_DOUBLE_EQ(frozen.improvement, 0.0);
 
-  // Portfolio and explicit paths price the identical objective.
+  // The race and the explicit selector price the identical objective.
   problem.beta = 0.5;
-  options.use_portfolio = true;
-  options.portfolio.budget_ms = 0.0;  // unlimited: deterministic exact
-  const ReallocationResult exact = SelectWithReallocation(problem, options);
-  options.use_portfolio = false;
-  const ReallocationResult explicit_result =
-      SelectWithReallocation(problem, options);
-  EXPECT_LE(exact.selection.objective,
-            explicit_result.selection.objective + 1e-9);
+  const ReallocationResult exact = SelectWithReallocation(problem);
+  const SelectionResult explicit_result = SelectExplicit(problem, true);
+  EXPECT_LE(exact.selection.objective, explicit_result.objective + 1e-9);
   EXPECT_EQ(exact.winner, "exact");
 }
 

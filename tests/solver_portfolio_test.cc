@@ -1,7 +1,9 @@
 // Anytime solver portfolio (DESIGN.md §13): determinism of the parallel
 // branch-and-bound, bit-for-bit agreement with the exact selector at an
-// unlimited budget, valid incumbents under mid-solve cancellation, and the
-// analytic LP bound against the simplex relaxation.
+// unlimited budget, the explicit and greedy lanes against SelectExplicit,
+// valid incumbents under mid-solve cancellation, monotone gap timelines that
+// end within 1 % of exact, and the analytic LP bound against the simplex
+// relaxation.
 
 #include <algorithm>
 #include <atomic>
@@ -28,6 +30,16 @@ SelectionProblem MakeProblem(const Workload& workload, double share) {
   problem.workload = &workload;
   problem.budget_bytes = share * workload.TotalBytes();
   return problem;
+}
+
+/// The merged incumbent-gap curve never rises.
+void ExpectMonotoneTimeline(const PortfolioResult& result) {
+  ASSERT_FALSE(result.timeline.empty());
+  double last_gap = std::numeric_limits<double>::infinity();
+  for (const IncumbentEvent& event : result.timeline) {
+    EXPECT_LE(event.gap, last_gap + 1e-15);
+    last_gap = event.gap;
+  }
 }
 
 std::vector<KnapsackItem> RandomItems(size_t n, uint64_t seed) {
@@ -163,7 +175,7 @@ TEST(PortfolioTest, CancellationMidSolveLeavesValidIncumbent) {
   CostModel model(*problem.workload, problem.params);
   const KnapsackView view = BuildKnapsackView(problem, model);
 
-  auto solver = MakeExactBnbSolver(&view, 2, uint64_t(200'000'000));
+  auto solver = MakeExactBnbSolver(&view, 2);
   solver->StartSolving();
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   solver->StopSolving();
@@ -199,14 +211,51 @@ TEST(PortfolioTest, TimelineGapIsMonotoneNonIncreasing) {
   SolverPortfolio portfolio(options);
   const PortfolioResult result = portfolio.Solve(problem);
 
-  ASSERT_FALSE(result.timeline.empty());
-  double last_gap = std::numeric_limits<double>::infinity();
-  for (const IncumbentEvent& event : result.timeline) {
-    EXPECT_LE(event.gap, last_gap + 1e-15);
-    last_gap = event.gap;
-  }
+  ExpectMonotoneTimeline(result);
   // The race completed, so the final portfolio gap is the winner's gap.
   EXPECT_NEAR(result.timeline.back().gap, result.gap, 1e-9);
+}
+
+TEST(PortfolioTest, BenchCurvesEndWithinOnePercentOfExact) {
+  // The gap-vs-time curves of bench_solver_portfolio: Example-1 (N = 50)
+  // and a BSEG-sized instance (N = 344), raced to completion.
+  Example1Params example1;
+  example1.seed = 7;
+  const Workload instances[] = {
+      GenerateExample1(example1),
+      GenerateScalabilityWorkload(344, 3440, /*seed=*/7)};
+  for (const Workload& workload : instances) {
+    const SelectionProblem problem = MakeProblem(workload, 0.3);
+    PortfolioOptions options;
+    options.budget_ms = 0.0;  // unlimited
+    const PortfolioResult result = SolverPortfolio(options).Solve(problem);
+    const SelectionResult exact = SelectIntegerOptimal(problem);
+    ASSERT_TRUE(exact.optimal);
+    ExpectMonotoneTimeline(result);
+    EXPECT_LE(result.selection.objective, exact.objective * 1.01 + 1e-9)
+        << "N = " << workload.column_count();
+  }
+}
+
+TEST(PortfolioTest, LanesReturnTheExplicitSelectorsAllocation) {
+  // 385 of the 2000 columns repeat another column's theta exactly, so the
+  // lanes must break theta ties by column id, as SelectExplicit does.
+  const Workload workload = GenerateMultiTenantWorkload(40, 50, 20, 42);
+  for (int step = 1; step <= 19; ++step) {
+    const SelectionProblem problem = MakeProblem(workload, 0.05 * step);
+    CostModel model(*problem.workload, problem.params);
+    const KnapsackView view = BuildKnapsackView(problem, model);
+    for (bool filling : {false, true}) {
+      auto lane = filling ? MakeGreedySolver(&view) : MakeExplicitSolver(&view);
+      lane->StartSolving();
+      lane->Join();
+      const SolverIncumbent incumbent = lane->GetIncumbent();
+      ASSERT_TRUE(incumbent.valid);
+      EXPECT_EQ(view.Expand(incumbent.take),
+                SelectExplicit(problem, filling).in_dram)
+          << lane->name() << " lane, budget share " << 0.05 * step;
+    }
+  }
 }
 
 TEST(PortfolioTest, AnalyticLpBoundMatchesSimplexRelaxation) {
@@ -272,9 +321,9 @@ TEST(PortfolioTest, SimplexIterationLimitIsDistinctStatus) {
   EXPECT_EQ(solved.status, LpStatus::kOptimal);
 }
 
-TEST(PortfolioTest, AdvisorPortfolioAlgorithmProducesFeasiblePlacement) {
-  // The Advisor enum gained kPortfolio; a Recommendation through it must be
-  // budget-feasible and name a winner.
+TEST(PortfolioTest, ShortDeadlineRaceEndsWithinOnePercentOfExact) {
+  // A 50 ms race at N = 25 names a winner and returns a budget-feasible
+  // placement.
   Example1Params params;
   params.num_columns = 25;
   params.num_queries = 150;

@@ -27,7 +27,7 @@
 // hytap_slo_* and hytap_phase_* families land in the snapshot. --slo prints
 // the per-class burn rates to stderr; --phases prints the deterministic
 // per-class phase report (text or JSON per --format) to stderr — or to
-// --phases-out.
+// --phases-out. Only --slo lets an SLO breach write a flight dump.
 
 #include <cstdint>
 #include <cstdio>
@@ -174,6 +174,10 @@ int main(int argc, char** argv) {
   }
 
   SetMetricsEnabled(true);
+  // The profiler that --phases attaches also judges the SLOs, and a breach
+  // dumps the flight recorder into HYTAP_FLIGHT_DUMP_DIR (default: the
+  // working directory). Only --slo asks for that postmortem.
+  if (!options.slo) setenv("HYTAP_FLIGHT_DUMP", "0", /*overwrite=*/1);
 
   // Trimmed BSEG: same column-cardinality shape, CLI-sized width.
   EnterpriseProfile profile = BsegProfile();
