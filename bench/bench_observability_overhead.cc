@@ -333,8 +333,8 @@ int main(int argc, char** argv) {
   const bool monitor_ok = GatePasses(executor_sample, kMonitorGatePct,
                                      executor_sample.monitor_seconds);
   // The recorder gate covers every workload: the fast paths only pay the
-  // enabled-check (executor / scan), the serving mix pays the per-event
-  // seqlock writes.
+  // enabled-check (executor / scan), the serving mix pays one locked ring
+  // store per session event.
   const bool flight_ok =
       GatePasses(executor_sample, kFlightGatePct,
                  executor_sample.flight_seconds) &&

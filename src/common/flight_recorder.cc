@@ -7,8 +7,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <mutex>
-#include <set>
 #include <tuple>
 
 #include "common/env.h"
@@ -31,7 +29,7 @@ struct FlightMetrics {
 };
 
 // Canonical ordering: the full deterministic field tuple. Physical arrival
-// order (shard, slot index) never participates, which is what makes dumps
+// order (ring slot) never participates, which is what makes dumps
 // bit-identical across worker counts.
 bool CanonicalLess(const FlightEvent& x, const FlightEvent& y) {
   return std::tie(x.window, x.sim_ns, x.ticket, x.type, x.code, x.seq, x.a,
@@ -49,131 +47,25 @@ void SetFlightRecorderEnabled(bool enabled) {
   g_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-// One slot = a seqlock'd event. The version counter is odd while a write is
-// in flight; readers retry until they see a stable even version on both
-// sides of the payload copy. Payload words are relaxed atomics so the
-// concurrent read/write is race-free by construction (TSAN-clean) -- the
-// seqlock versions supply the acquire/release ordering.
-struct Slot {
-  std::atomic<uint32_t> version{0};
-  std::atomic<uint64_t> words[6];
-};
-static_assert(sizeof(FlightEvent) == 6 * sizeof(uint64_t),
-              "slot payload must cover FlightEvent exactly");
-
-struct FlightRecorder::Shard {
-  Slot* slots = nullptr;
-  // Next slot to write (monotonic; slot index = head % capacity). Only the
-  // owning thread writes it; Snapshot() reads it with acquire.
-  std::atomic<uint64_t> head{0};
-  std::atomic<bool> in_use{false};
-};
-
-struct FlightRecorder::Impl {
-  std::mutex shard_mutex;  // guards the shard list growth + free-list scan
-  std::vector<Shard*> shards;
-  std::atomic<uint64_t> dump_count{0};
-  uint64_t instance_id = 0;
-};
-
-namespace {
-
-// Registry of live recorder instances, keyed by a never-reused id. A thread's
-// cached shard pointer can outlive the recorder that owns it (tests create
-// short-lived recorders; the thread then records into another instance or
-// exits), and an address-equality check cannot tell a dead owner from a new
-// recorder reallocated at the same address. Releasing through the id registry
-// makes both cases a no-op instead of a write into freed memory.
-std::mutex g_live_mutex;
-uint64_t g_next_instance_id = 1;
-std::set<uint64_t>& LiveRecorders() {
-  static std::set<uint64_t>* live = new std::set<uint64_t>();
-  return *live;
-}
-
-void ReleaseShard(FlightRecorder::Shard* shard, uint64_t owner_id) {
-  if (shard == nullptr) return;
-  std::lock_guard<std::mutex> lock(g_live_mutex);
-  if (LiveRecorders().count(owner_id) != 0) {
-    shard->in_use.store(false, std::memory_order_release);
-  }
-}
-
-// Per-thread shard handle, released back to the owner's free list on thread
-// exit (or when the thread switches recorders) so a shard never has two
-// concurrent writers.
-struct ShardHandle {
-  FlightRecorder::Shard* shard = nullptr;
-  uint64_t owner_id = 0;
-  ~ShardHandle() { ReleaseShard(shard, owner_id); }
-};
-
-}  // namespace
-
 FlightRecorder& FlightRecorder::Global() {
   static FlightRecorder* recorder = new FlightRecorder();
   return *recorder;
 }
 
-FlightRecorder::FlightRecorder(size_t events_per_shard)
-    : events_per_shard_(events_per_shard == 0 ? 1 : events_per_shard),
-      impl_(new Impl) {
-  std::lock_guard<std::mutex> lock(g_live_mutex);
-  impl_->instance_id = g_next_instance_id++;
-  LiveRecorders().insert(impl_->instance_id);
-}
-
-FlightRecorder::~FlightRecorder() {
-  {
-    std::lock_guard<std::mutex> lock(g_live_mutex);
-    LiveRecorders().erase(impl_->instance_id);
-  }
-  for (Shard* shard : impl_->shards) {
-    delete[] shard->slots;
-    delete shard;
-  }
-  delete impl_;
-}
-
-FlightRecorder::Shard* FlightRecorder::ClaimShard() {
-  std::lock_guard<std::mutex> lock(impl_->shard_mutex);
-  for (Shard* shard : impl_->shards) {
-    bool expected = false;
-    if (shard->in_use.compare_exchange_strong(expected, true,
-                                              std::memory_order_acq_rel)) {
-      return shard;
-    }
-  }
-  Shard* shard = new Shard;
-  shard->slots = new Slot[events_per_shard_];
-  shard->in_use.store(true, std::memory_order_release);
-  impl_->shards.push_back(shard);
-  return shard;
-}
+FlightRecorder::FlightRecorder(size_t capacity)
+    : capacity_(capacity == 0 ? 1 : capacity) {}
 
 void FlightRecorder::Record(const FlightEvent& event) {
   if (!FlightRecorderEnabled()) return;
-  thread_local ShardHandle handle;
-  // A thread may touch multiple FlightRecorder instances (tests construct
-  // their own); key the cached shard on the owning instance's id, never its
-  // address — a destroyed recorder's address can be reused.
-  if (handle.shard == nullptr || handle.owner_id != impl_->instance_id) {
-    ReleaseShard(handle.shard, handle.owner_id);
-    handle.shard = ClaimShard();
-    handle.owner_id = impl_->instance_id;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (ring_.size() < capacity_) {
+      ring_.push_back(event);
+    } else {
+      ring_[head_ % capacity_] = event;
+    }
+    ++head_;
   }
-  Shard* shard = handle.shard;
-  uint64_t head = shard->head.load(std::memory_order_relaxed);
-  Slot& slot = shard->slots[head % events_per_shard_];
-  uint64_t words[6];
-  std::memcpy(words, &event, sizeof(words));
-  uint32_t version = slot.version.load(std::memory_order_relaxed);
-  slot.version.store(version + 1, std::memory_order_release);  // odd: writing
-  for (size_t i = 0; i < 6; ++i) {
-    slot.words[i].store(words[i], std::memory_order_relaxed);
-  }
-  slot.version.store(version + 2, std::memory_order_release);  // even: stable
-  shard->head.store(head + 1, std::memory_order_release);
   FlightMetrics::Get().events->Add();
 }
 
@@ -195,33 +87,14 @@ void FlightRecorder::Record(FlightEventType type, uint16_t code,
 
 std::vector<FlightEvent> FlightRecorder::Snapshot() const {
   std::vector<FlightEvent> events;
-  std::lock_guard<std::mutex> lock(impl_->shard_mutex);
-  for (const Shard* shard : impl_->shards) {
-    uint64_t head = shard->head.load(std::memory_order_acquire);
-    uint64_t live = std::min<uint64_t>(head, events_per_shard_);
-    for (uint64_t i = 0; i < live; ++i) {
-      uint64_t index = (head - live + i) % events_per_shard_;
-      const Slot& slot = shard->slots[index];
-      FlightEvent event;
-      for (int attempt = 0; attempt < 1024; ++attempt) {
-        uint32_t before = slot.version.load(std::memory_order_acquire);
-        if (before & 1u) continue;  // write in flight
-        uint64_t words[6];
-        for (size_t w = 0; w < 6; ++w) {
-          words[w] = slot.words[w].load(std::memory_order_relaxed);
-        }
-        std::atomic_thread_fence(std::memory_order_acquire);
-        uint32_t after = slot.version.load(std::memory_order_relaxed);
-        if (before == after) {
-          std::memcpy(&event, words, sizeof(event));
-          if (event.type != static_cast<uint16_t>(FlightEventType::kNone)) {
-            events.push_back(event);
-          }
-          break;
-        }
-      }
-    }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    events = ring_;
   }
+  // kNone marks "no event" and never reaches a dump.
+  std::erase_if(events, [](const FlightEvent& event) {
+    return event.type == static_cast<uint16_t>(FlightEventType::kNone);
+  });
   std::sort(events.begin(), events.end(), CanonicalLess);
   return events;
 }
@@ -257,7 +130,7 @@ std::string FlightRecorder::Anomaly(AnomalyKind kind,
          window, sim_ns, a, b);
   if (!EnvBool("HYTAP_FLIGHT_DUMP", true)) return "";
   uint64_t max_dumps = EnvU64("HYTAP_FLIGHT_MAX_DUMPS", 8);
-  uint64_t index = impl_->dump_count.fetch_add(1, std::memory_order_relaxed);
+  uint64_t index = dump_count_.fetch_add(1, std::memory_order_relaxed);
   if (index >= max_dumps) return "";
   const char* dir = std::getenv("HYTAP_FLIGHT_DUMP_DIR");
   std::string base = (dir != nullptr && *dir != '\0') ? dir : ".";
@@ -276,26 +149,15 @@ std::string FlightRecorder::Anomaly(AnomalyKind kind,
 }
 
 void FlightRecorder::Reset() {
-  std::lock_guard<std::mutex> lock(impl_->shard_mutex);
-  for (Shard* shard : impl_->shards) {
-    for (size_t i = 0; i < events_per_shard_; ++i) {
-      shard->slots[i].version.store(0, std::memory_order_relaxed);
-      for (auto& word : shard->slots[i].words) {
-        word.store(0, std::memory_order_relaxed);
-      }
-    }
-    shard->head.store(0, std::memory_order_release);
-  }
-  impl_->dump_count.store(0, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mutex_);
+  ring_.clear();
+  head_ = 0;
+  dump_count_.store(0, std::memory_order_relaxed);
 }
 
 uint64_t FlightRecorder::total_recorded() const {
-  std::lock_guard<std::mutex> lock(impl_->shard_mutex);
-  uint64_t total = 0;
-  for (const Shard* shard : impl_->shards) {
-    total += shard->head.load(std::memory_order_acquire);
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return head_;
 }
 
 bool ReadFlightDump(const std::string& path, std::vector<FlightEvent>* events,

@@ -1,8 +1,8 @@
 #ifndef HYTAP_COMMON_FLIGHT_RECORDER_H_
 #define HYTAP_COMMON_FLIGHT_RECORDER_H_
 
-// Process-wide, always-on flight recorder: a lock-free, per-thread-sharded
-// ring of fixed-size binary events correlating the serving, re-tiering, and
+// Process-wide, always-on flight recorder: one mutex-guarded ring of
+// fixed-size binary events correlating the serving, re-tiering, and
 // fault-injection loops on one timeline.
 //
 // Determinism contract: dumps are canonicalised by sorting on the event's
@@ -14,17 +14,19 @@
 // sequence numbers, monitor window indices); wall-clock time never enters an
 // event.
 //
-// Concurrency: each OS thread lazily claims an exclusive shard (reused via a
-// free list when threads exit, so a shard never has two concurrent writers).
-// Each slot is a seqlock -- an atomic version counter bracketing the payload
-// words -- so a concurrent Snapshot() never reads a torn event and the whole
-// structure is data-race-free under TSAN without any mutex on the hot path.
+// Concurrency: Record() takes the ring's mutex for one store and calls
+// nothing while it holds it but the ring's own growth. Producers fire per
+// session event, re-tier step, merge, migration, SLO transition or injected
+// fault -- a few thousand events per second on the busiest serving
+// workload, far below the rate one lock sustains (DESIGN.md §16).
 //
 // Gating: SetFlightRecorderEnabled (default on), which the overhead bench
 // and tests flip. When off, Record() is a single relaxed atomic load +
 // branch.
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -102,17 +104,20 @@ void SetFlightRecorderEnabled(bool enabled);
 
 class FlightRecorder {
  public:
-  // Process-wide singleton with the default ring size.
+  // Process-wide singleton with the default capacity.
   static FlightRecorder& Global();
 
-  explicit FlightRecorder(size_t events_per_shard = 1 << 14);
-  ~FlightRecorder();
+  // `capacity` bounds the events held for the whole process (0 acts as 1).
+  // The ring grows on demand up to it: a reservation made up front can be
+  // carved from heap pages that earlier allocations already touched, so it
+  // would cost resident memory however few events are recorded.
+  explicit FlightRecorder(size_t capacity = size_t(1) << 16);
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  // Records one event into the calling thread's shard. Lock-free; safe from
-  // any thread. No-op when the recorder is disabled.
+  // Records one event, overwriting the oldest once the ring is full. Safe
+  // from any thread. No-op when the recorder is disabled.
   void Record(const FlightEvent& event);
 
   // Convenience: fills type/code/ticket/window/sim_ns/a/b and records.
@@ -120,9 +125,9 @@ class FlightRecorder {
               uint64_t window, uint64_t sim_ns, uint64_t a = 0,
               uint64_t b = 0);
 
-  // Copies out every live event, canonically sorted on the deterministic
-  // field tuple. Safe to call concurrently with writers (seqlock readers
-  // retry torn slots); byte-stable when writers are quiesced.
+  // Copies out every held event, canonically sorted on the deterministic
+  // field tuple. Safe to call concurrently with writers; byte-stable when
+  // writers are quiesced.
   std::vector<FlightEvent> Snapshot() const;
 
   // Serialises Snapshot() to `path` in the binary dump format. Returns true
@@ -138,25 +143,21 @@ class FlightRecorder {
                       uint64_t ticket = 0, uint64_t window = 0,
                       uint64_t sim_ns = 0, uint64_t a = 0, uint64_t b = 0);
 
-  // Clears every shard and the anomaly-dump counter. Callers must be
-  // quiesced (tests / bench reset points).
+  // Clears the ring and the anomaly-dump counter. Callers must be quiesced
+  // (tests / bench reset points).
   void Reset();
 
-  size_t events_per_shard() const { return events_per_shard_; }
-  // Total events recorded since construction/Reset (diagnostic; approximate
-  // while writers are active).
+  // Events recorded since construction/Reset, overwritten ones included.
   uint64_t total_recorded() const;
 
-  // Opaque per-thread ring shard (defined in the .cc; public so the
-  // thread-local handle that releases shards on thread exit can name it).
-  struct Shard;
-
  private:
-  Shard* ClaimShard();
-
-  const size_t events_per_shard_;
-  struct Impl;
-  Impl* impl_;
+  const size_t capacity_;
+  mutable std::mutex mutex_;
+  // Guarded by mutex_. head_ counts every event recorded; the next one goes
+  // to ring_[head_ % capacity_] once the ring is full.
+  std::vector<FlightEvent> ring_;
+  uint64_t head_ = 0;
+  std::atomic<uint64_t> dump_count_{0};
 };
 
 // Binary dump header. Little-endian, packed.

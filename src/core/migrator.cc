@@ -122,7 +122,7 @@ StatusOr<MigrationReport> Migrator::ApplyStep(TieredTable* table,
   std::vector<bool> placement = t.placement();
   placement[column] = to_dram;
   // Per-column migration boundaries on the flight timeline. This path is
-  // serial (daemon tick / idle tick), so the monitor stamps are stable.
+  // serial (one daemon tick), so the monitor stamps are stable.
   const uint64_t window = table->monitor().windows_started();
   const uint64_t sim_ns = table->monitor().now_ns();
   table->store().SetFlightStamp(window, sim_ns);

@@ -84,10 +84,6 @@ Status TieredTable::MergeDelta() {
     return status;
   };
   if (serving_ != nullptr) {
-    // A serving worker running the idle re-tier tick already holds the
-    // submit mutex and the write gate; re-entering Drain()/ExecuteWrite()
-    // would self-deadlock, and the quiescence they provide is already held.
-    if (SessionManager::InExclusiveWrite()) return merge();
     // Queued queries' delta bounds / snapshots do not shield them from the
     // merge restructuring main storage under them: quiesce first.
     serving_->Drain();
@@ -120,11 +116,6 @@ QueryResult TieredTable::Await(const std::shared_ptr<QuerySession>& session) {
 StatusOr<uint64_t> TieredTable::ApplyPlacement(
     const std::vector<bool>& in_dram) {
   if (serving_ != nullptr) {
-    // Re-entrant from a serving worker's idle re-tier tick: the caller
-    // already holds the submit mutex and the write gate (see MergeDelta).
-    if (SessionManager::InExclusiveWrite()) {
-      return ApplyPlacementLocked(in_dram);
-    }
     serving_->Drain();
     StatusOr<uint64_t> migrated = uint64_t(0);
     Status status = serving_->ExecuteWrite([&] {

@@ -7,7 +7,6 @@
 #include "common/flight_recorder.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
-#include "core/retier_daemon.h"
 #include "core/tiered_table.h"
 #include "serving/latency_profiler.h"
 #include "tiering/buffer_manager.h"
@@ -15,10 +14,6 @@
 namespace hytap {
 
 namespace {
-
-/// Set while a serving worker runs a structural write from its own exclusive
-/// section (idle re-tier tick); see SessionManager::InExclusiveWrite().
-thread_local bool t_in_exclusive_write = false;
 
 /// Registry handles resolved once; updates are gated on MetricsEnabled().
 struct SessionMetrics {
@@ -276,66 +271,18 @@ void SessionManager::WorkerLoop() {
                                       s->ticket_, 0, 0, uint64_t(s->class_));
       RunSession(s, dispatch_index);
     }
-    bool tick = false;
     {
       std::lock_guard<std::mutex> lock(submit_mutex_);
       --in_flight_;
       metrics.inflight->Set(int64_t(in_flight_));
-      if (queued_count_ == 0 && in_flight_ == 0) {
-        drain_cv_.notify_all();
-        tick = retier_ != nullptr;
-      }
+      if (queued_count_ == 0 && in_flight_ == 0) drain_cv_.notify_all();
     }
-    // TryIdleTick re-checks idleness and retier_ under the submit mutex.
-    if (tick) TryIdleTick();
   }
 }
 
 void SessionManager::set_latency_profiler(LatencyProfiler* profiler) {
   std::lock_guard<std::mutex> lock(record_mutex_);
   profiler_ = profiler;
-}
-
-void SessionManager::set_retier_daemon(RetierDaemon* daemon) {
-  std::lock_guard<std::mutex> lock(submit_mutex_);
-  retier_ = daemon;
-}
-
-bool SessionManager::InExclusiveWrite() { return t_in_exclusive_write; }
-
-void SessionManager::TryIdleTick() {
-  std::unique_lock<std::mutex> submit_lock(submit_mutex_, std::try_to_lock);
-  if (!submit_lock.owns_lock()) return;
-  if (stopping_ || queued_count_ != 0 || in_flight_ != 0 ||
-      retier_ == nullptr) {
-    return;
-  }
-  // At most one idle tick per workload-monitor window: the daemon's
-  // decisions are keyed to the window index (one evaluation per window,
-  // per-window byte budgets), so "ticked in window w" — not how many idle
-  // moments occurred or which worker saw them — determines re-tiering
-  // behavior. windows_started() is stable here: no query is running.
-  const uint64_t window = table_->monitor().windows_started();
-  if (window == last_idle_tick_window_) return;
-  last_idle_tick_window_ = window;
-  // With the submit mutex held and nothing in flight, no reader holds the
-  // gate (workers release it before decrementing in_flight_); take it
-  // exclusively so the tick's migration steps run write-isolated.
-  std::unique_lock<std::shared_mutex> gate(rw_gate_, std::try_to_lock);
-  if (!gate.owns_lock()) return;
-  // The daemon's migration steps call back into TieredTable::ApplyPlacement
-  // / MergeDelta, which normally Drain() + ExecuteWrite() — both self-
-  // deadlock here. The thread-local flag reroutes them to the locked
-  // variants directly.
-  t_in_exclusive_write = true;
-  retier_->Tick();
-  t_in_exclusive_write = false;
-  ++idle_ticks_;
-}
-
-uint64_t SessionManager::idle_ticks() const {
-  std::lock_guard<std::mutex> lock(submit_mutex_);
-  return idle_ticks_;
 }
 
 void SessionManager::RunSession(const SessionHandle& s,

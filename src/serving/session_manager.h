@@ -21,7 +21,6 @@
 namespace hytap {
 
 class TieredTable;
-class RetierDaemon;
 class LatencyProfiler;
 
 /// Priority class of a submitted query. OLTP dispatches before OLAP and its
@@ -174,17 +173,6 @@ class SessionManager {
   /// is on) — so its SLO state and phase reports are deterministic across
   /// worker counts.
   void set_latency_profiler(LatencyProfiler* profiler);
-  /// Attaches a re-tiering daemon (not owned; null detaches). While
-  /// attached, a worker that leaves the queue empty and nothing in flight
-  /// ticks it — at most once per workload-monitor window, so tick placement
-  /// is deterministic by window index.
-  void set_retier_daemon(RetierDaemon* daemon);
-
-  /// True while the calling thread runs a structural write from inside the
-  /// serving layer's own exclusive section (the idle re-tier tick already
-  /// holds the submit mutex and the write gate). TieredTable consults it to
-  /// skip the re-entrant Drain()/ExecuteWrite() that would self-deadlock.
-  static bool InExclusiveWrite();
 
   const SessionOptions& options() const { return options_; }
 
@@ -193,10 +181,6 @@ class SessionManager {
   size_t in_flight() const;
   /// Tickets issued so far.
   uint64_t tickets_issued() const;
-  /// Re-tier ticks fired from idle workers so far. Acquires the submit
-  /// mutex, so once a caller observes the count it also observes every
-  /// effect of those ticks.
-  uint64_t idle_ticks() const;
 
  private:
   struct EdfOrder {
@@ -236,10 +220,6 @@ class SessionManager {
   /// events, and feed the latency profiler in ticket order.
   void RecordInOrder(const QuerySession& s, StatusCode status,
                      RecordItem item);
-  /// Runs one re-tier tick if the table has been idle-eligible: takes the
-  /// submit mutex and the write gate itself (no queries queued or running),
-  /// at most once per workload-monitor window.
-  void TryIdleTick();
 
   TieredTable* table_;
   SessionOptions options_;
@@ -266,14 +246,6 @@ class SessionManager {
 
   /// Fed from the flush under record_mutex_ (null = detached).
   LatencyProfiler* profiler_ = nullptr;
-  /// Ticked from idle workers while attached (guarded by submit_mutex_;
-  /// null = off).
-  RetierDaemon* retier_ = nullptr;
-  /// Monitor window of the last idle tick (guarded by submit_mutex_;
-  /// windows_started() starts at 1, so 0 = never ticked).
-  uint64_t last_idle_tick_window_ = 0;
-  /// Count of idle ticks fired (guarded by submit_mutex_).
-  uint64_t idle_ticks_ = 0;
 
   std::vector<std::thread> workers_;
 };

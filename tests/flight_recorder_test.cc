@@ -3,13 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <utility>
 #include <memory>
 #include <sstream>
@@ -169,7 +169,7 @@ TEST(FlightRecorderTest, ConcurrentWritersNeverTearEvents) {
       }
     });
   }
-  // Concurrent snapshots must not crash or return torn slots (seqlock).
+  // Concurrent snapshots must not crash or return torn events.
   for (int i = 0; i < 8; ++i) {
     for (const FlightEvent& event : recorder.Snapshot()) {
       EXPECT_EQ(event.sim_ns, event.ticket * 3);
@@ -186,6 +186,40 @@ TEST(FlightRecorderTest, ConcurrentWritersNeverTearEvents) {
     EXPECT_EQ(event.a, event.ticket + 7);
     EXPECT_EQ(event.b, event.ticket + 11);
   }
+}
+
+TEST(FlightRecorderTest, CapacityIsProcessWide) {
+  SetFlightRecorderEnabled(true);
+  FlightRecorder recorder(64);
+  constexpr int kThreads = 4;
+  constexpr uint64_t kPerThread = 100;
+  // Every writer stays alive until all have recorded, so the four are
+  // concurrent recording threads however the scheduler runs them.
+  std::latch recorded(kThreads);
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&recorder, &recorded, t] {
+      for (uint64_t i = 0; i < kPerThread; ++i) {
+        const uint64_t ticket = uint64_t(t) * kPerThread + i;
+        FlightEvent event = MakeEvent(1, ticket * 3, ticket);
+        event.a = ticket + 7;
+        event.b = ticket + 11;
+        recorder.Record(event);
+      }
+      recorded.arrive_and_wait();
+    });
+  }
+  for (std::thread& w : writers) w.join();
+
+  // The capacity bounds the whole recorder, not each recording thread.
+  const std::vector<FlightEvent> events = recorder.Snapshot();
+  ASSERT_EQ(events.size(), 64u);
+  for (const FlightEvent& event : events) {
+    EXPECT_EQ(event.sim_ns, event.ticket * 3);
+    EXPECT_EQ(event.a, event.ticket + 7);
+    EXPECT_EQ(event.b, event.ticket + 11);
+  }
+  EXPECT_EQ(recorder.total_recorded(), size_t(kThreads) * kPerThread);
 }
 
 // ---------------------------------------------------------------------------
@@ -428,107 +462,6 @@ TEST(FlightRecorderAcceptanceTest, AnomalyTimelineIsBitIdenticalAcrossWorkers) {
     }
   }
   EXPECT_LT(quarantine_at, abort_at);
-}
-
-// ---------------------------------------------------------------------------
-// Idle-driven re-tiering (an attached daemon): tick placement is
-// deterministic by window index, independent of the worker count.
-// ---------------------------------------------------------------------------
-
-/// Submits one trailing query and returns once it (and any idle tick its
-/// completion triggered) is done. Attaching the daemon only between fully
-/// awaited batches keeps the tick's input workload deterministic: idle
-/// moments *during* a batch are wall-clock races.
-void KickIdleTick(SessionManager* sm, uint64_t expect_ticks) {
-  Query query;
-  query.predicates.push_back(
-      Predicate::Equals(ColumnId(kHotA), Value(int32_t{0})));
-  query.aggregates = {Aggregate::Count()};
-  SubmitOptions opts;
-  opts.threads = 1;
-  auto session = sm->Submit(query, opts);
-  ASSERT_TRUE(session.ok());
-  (void)(*session)->Await();
-  // The worker fires the tick after completing the session; idle_ticks()
-  // synchronizes on the submit mutex, so observing the count also observes
-  // the tick's effects on the daemon.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (sm->idle_ticks() < expect_ticks &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_GE(sm->idle_ticks(), expect_ticks) << "idle tick never fired";
-}
-
-struct IdleSignature {
-  uint64_t ticks = 0;
-  std::vector<bool> placement;
-  std::vector<std::vector<std::pair<uint32_t, uint8_t>>> plan_steps;
-
-  bool operator==(const IdleSignature& other) const {
-    return ticks == other.ticks && placement == other.placement &&
-           plan_steps == other.plan_steps;
-  }
-};
-
-IdleSignature RunIdleScenario(uint32_t workers) {
-  auto table = MakeBseg();
-  SessionOptions so;
-  so.max_sessions = workers;
-  so.default_threads = 1;
-  SessionManager& sm = table->EnableServing(so);
-  RetierDaemon daemon(table.get(), TestOptions(*table));  // unthrottled
-
-  // Window 1: phase A recorded with the daemon detached, then one kicker
-  // fires the idle tick over the complete phase workload.
-  ServePhase(&sm, kHotA, kHotCount);
-  sm.set_retier_daemon(&daemon);
-  KickIdleTick(&sm, 1);
-  EXPECT_EQ(daemon.state(), RetierState::kIdle);  // unthrottled: one tick
-
-  // Still window 1: a second idle moment must NOT tick again (at most one
-  // tick per monitor window keeps tick placement deterministic).
-  KickIdleTick(&sm, 1);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_EQ(sm.idle_ticks(), 1u) << "window guard let a second tick through";
-
-  // Window 2: skew flip; the next idle moment re-plans for the new hot set.
-  sm.set_retier_daemon(nullptr);
-  table->monitor().ForceRoll();
-  ServePhase(&sm, kHotB, kHotCount);
-  sm.set_retier_daemon(&daemon);
-  KickIdleTick(&sm, 2);
-  EXPECT_EQ(daemon.state(), RetierState::kIdle);
-  sm.set_retier_daemon(nullptr);
-  sm.Drain();
-
-  IdleSignature signature;
-  signature.ticks = sm.idle_ticks();
-  signature.placement = table->table().placement();
-  for (const RetierPlan& plan : daemon.history()) {
-    std::vector<std::pair<uint32_t, uint8_t>> steps;
-    for (const RetierStep& step : plan.steps) {
-      steps.emplace_back(step.column, uint8_t(step.outcome));
-    }
-    signature.plan_steps.push_back(std::move(steps));
-  }
-  return signature;
-}
-
-TEST(IdleRetierTest, IdleTicksAreDeterministicByWindowAcrossWorkers) {
-  setenv("HYTAP_FLIGHT_DUMP", "0", 1);
-  const IdleSignature one = RunIdleScenario(1);
-  const IdleSignature two = RunIdleScenario(2);
-  const IdleSignature four = RunIdleScenario(4);
-  EXPECT_TRUE(one == two);
-  EXPECT_TRUE(one == four);
-  EXPECT_EQ(one.ticks, 2u);
-  ASSERT_EQ(one.plan_steps.size(), 2u);
-  // The window-2 idle tick really re-tiered: hot-B columns are DRAM-resident.
-  for (size_t c = kHotB; c < kHotB + kHotCount; ++c) {
-    EXPECT_TRUE(one.placement[c]) << "hot column " << c << " not in DRAM";
-  }
 }
 
 }  // namespace

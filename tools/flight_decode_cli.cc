@@ -1,25 +1,35 @@
 // hytap-flight-decode: render a binary flight-recorder dump as a merged
-// human-readable or JSON timeline correlating serving, re-tiering, and
-// fault events.
+// human-readable, JSON, or Perfetto timeline correlating serving,
+// re-tiering, and fault events.
 //
 // Usage:
-//   flight_decode_cli <dump.bin> [--format text|json] [--out <path>]
+//   flight_decode_cli <dump.bin> [--format text|json|perfetto]
+//                     [--trace explain.json] [--out <path>]
 //                     [--ticket N] [--window N] [--type NAME]
 //
-// Events are printed in the dump's canonical order (window, sim_ns, ticket,
-// type, code, seq, a, b) — the deterministic timeline the recorder sorted
-// them into — so two decoders over the same dump always agree byte for byte.
-// The filter flags keep large dumps greppable without decoding everything:
-// each may be given once and they compose with AND.
+// Text and JSON print events in the dump's canonical order (window, sim_ns,
+// ticket, type, code, seq, a, b) — the deterministic timeline the recorder
+// sorted them into — so two decoders over the same dump always agree byte
+// for byte. Perfetto fuses the events (and, with --trace, an EXPLAIN span
+// tree from `stats_cli --trace-out`) into Chrome trace-event JSON for
+// ui.perfetto.dev. The filter flags keep large dumps greppable without
+// decoding everything: each may be given once, they compose with AND, and
+// they apply before any format renders. An unknown --type name is a usage
+// error.
 
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/flight_recorder.h"
+#include "common/phases.h"
+#include "common/trace.h"
+#include "io/perfetto_export.h"
 
 using namespace hytap;
 
@@ -27,9 +37,23 @@ namespace {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: flight_decode_cli <dump.bin> [--format text|json] "
+               "usage: flight_decode_cli <dump.bin> "
+               "[--format text|json|perfetto] [--trace explain.json] "
                "[--out <path>] [--ticket N] [--window N] [--type NAME]\n");
   return 2;
+}
+
+/// Resolves an event type name. Type values are contiguous from kNone (the
+/// enum is append-only), so the first "unknown" ends the search.
+bool ParseEventType(const std::string& name, uint16_t* type) {
+  for (uint16_t t = 0;; ++t) {
+    const char* candidate = FlightEventTypeName(t);
+    if (std::strcmp(candidate, "unknown") == 0) return false;
+    if (name == candidate) {
+      *type = t;
+      return true;
+    }
+  }
 }
 
 const char* QueryClassName(uint64_t cls) {
@@ -38,23 +62,6 @@ const char* QueryClassName(uint64_t cls) {
       return "oltp";
     case 1:
       return "olap";
-    default:
-      return "?";
-  }
-}
-
-const char* PhaseName(uint64_t phase) {
-  switch (phase) {
-    case 0:
-      return "scan_probe";
-    case 1:
-      return "delta";
-    case 2:
-      return "materialize";
-    case 3:
-      return "store_io";
-    case 4:
-      return "retry_backoff";
     default:
       return "?";
   }
@@ -178,7 +185,10 @@ std::string Detail(const FlightEvent& e) {
       std::snprintf(buf, sizeof buf,
                     "class=%s dominant=%s latency_ns=%" PRIu64
                     "%s%s",
-                    QueryClassName(e.code >> 2), PhaseName(e.a), e.b,
+                    QueryClassName(e.code >> 2),
+                    e.a < kQueryPhaseCount ? QueryPhaseName(QueryPhase(e.a))
+                                           : "?",
+                    e.b,
                     (e.code & 1) != 0 ? " slo_breach" : "",
                     (e.code & 2) != 0 ? " p99_tail" : "");
       break;
@@ -224,9 +234,10 @@ int main(int argc, char** argv) {
   std::string path;
   std::string format = "text";
   std::string out_path;
-  bool have_ticket = false, have_window = false;
+  std::string trace_path;
+  bool have_ticket = false, have_window = false, have_type = false;
   uint64_t ticket_filter = 0, window_filter = 0;
-  std::string type_filter;
+  uint16_t type_filter = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--format") {
@@ -235,6 +246,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--out") {
       if (i + 1 >= argc) return Usage();
       out_path = argv[++i];
+    } else if (arg == "--trace") {
+      if (i + 1 >= argc) return Usage();
+      trace_path = argv[++i];
     } else if (arg == "--ticket") {
       if (i + 1 >= argc) return Usage();
       ticket_filter = std::strtoull(argv[++i], nullptr, 10);
@@ -245,7 +259,11 @@ int main(int argc, char** argv) {
       have_window = true;
     } else if (arg == "--type") {
       if (i + 1 >= argc) return Usage();
-      type_filter = argv[++i];
+      if (!ParseEventType(argv[++i], &type_filter)) {
+        std::fprintf(stderr, "unknown event type: %s\n", argv[i]);
+        return Usage();
+      }
+      have_type = true;
     } else if (!arg.empty() && arg[0] == '-') {
       return Usage();
     } else if (path.empty()) {
@@ -254,7 +272,11 @@ int main(int argc, char** argv) {
       return Usage();
     }
   }
-  if (path.empty() || (format != "text" && format != "json")) return Usage();
+  if (path.empty() ||
+      (format != "text" && format != "json" && format != "perfetto") ||
+      (!trace_path.empty() && format != "perfetto")) {
+    return Usage();
+  }
 
   std::vector<FlightEvent> events;
   std::string reason;
@@ -264,16 +286,25 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (have_ticket || have_window || !type_filter.empty()) {
+  TraceSpan explain;
+  if (!trace_path.empty()) {
+    std::ifstream in(trace_path, std::ios::binary);
+    std::ostringstream json;
+    json << in.rdbuf();
+    if (!in.is_open() || !ParseTraceJson(json.str(), &explain)) {
+      std::fprintf(stderr, "cannot parse trace json %s\n",
+                   trace_path.c_str());
+      return 1;
+    }
+  }
+
+  if (have_ticket || have_window || have_type) {
     std::vector<FlightEvent> kept;
     kept.reserve(events.size());
     for (const FlightEvent& e : events) {
       if (have_ticket && e.ticket != ticket_filter) continue;
       if (have_window && e.window != window_filter) continue;
-      if (!type_filter.empty() &&
-          std::strcmp(FlightEventTypeName(e.type), type_filter.c_str()) != 0) {
-        continue;
-      }
+      if (have_type && e.type != type_filter) continue;
       kept.push_back(e);
     }
     events.swap(kept);
@@ -287,7 +318,11 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (format == "json") {
+  if (format == "perfetto") {
+    const std::string timeline = RenderPerfettoJson(
+        events, reason, trace_path.empty() ? nullptr : &explain);
+    std::fwrite(timeline.data(), 1, timeline.size(), out);
+  } else if (format == "json") {
     RenderJson(out, reason, events);
   } else {
     RenderText(out, reason, events);

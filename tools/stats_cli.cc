@@ -214,7 +214,7 @@ int main(int argc, char** argv) {
           executor.Explain(txn, queries[q], options.threads);
       std::printf("--- EXPLAIN query %zu ---\n%s", q, explain.text.c_str());
       // The first traced tree doubles as the machine-readable span input
-      // for trace_export_cli --trace (RenderTraceJson schema).
+      // for flight_decode_cli --trace (RenderTraceJson schema).
       if (q == 0 && !options.trace_out.empty()) {
         std::FILE* f = std::fopen(options.trace_out.c_str(), "w");
         if (f == nullptr) {
