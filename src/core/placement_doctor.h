@@ -26,10 +26,10 @@ struct DoctorOptions {
   /// placement uses" (placement parity: regret compares equal-budget
   /// allocations, not a budget change).
   double budget_bytes = -1.0;
-  /// Recommend through the anytime solver portfolio (exact B&B, explicit,
-  /// greedy raced under `portfolio.budget_ms`) instead of the one-shot
-  /// explicit solution; the report then carries the winner and its
-  /// LP-bound gap, and the hytap_solver_* metrics are exercised.
+  /// Recommend through the anytime solver portfolio (the explicit and
+  /// greedy walks, then exact B&B until `portfolio.budget_ms`) instead of
+  /// the one-shot explicit solution; the report then carries the winner and
+  /// its LP-bound gap, and the hytap_solver_* metrics are exercised.
   bool use_portfolio = false;
   PortfolioOptions portfolio = PortfolioOptions::FromEnv();
 };
@@ -72,7 +72,7 @@ struct DoctorReport {
   bool calibrated = false;
   uint64_t calibration_samples = 0;
   /// Portfolio mode only: winning solver name, its gap vs the LP bound, and
-  /// whether the deadline cut the race short.
+  /// whether the deadline cut the exact search short.
   std::string solver_winner;
   double solver_gap = 0.0;
   bool solver_deadline_hit = false;

@@ -215,7 +215,6 @@ bool RetierDaemon::Evaluate(uint64_t window, RetierTickReport* report) {
   plan_.improvement_pct = result.improvement_pct;
   plan_.current_cost = result.current_cost;
   plan_.target_objective = result.selection.objective;
-  plan_.solver_winner = result.winner;
   plan_.target = result.selection.in_dram;
   uint64_t skipped = 0;
   AppendSteps(table_->table(), plan_.target, quarantined_,
@@ -401,26 +400,6 @@ RetierTickReport RetierDaemon::Tick() {
   metrics.state->Set(int64_t(state_));
   metrics.window_bytes->Set(int64_t(report.window_bytes));
 
-  if (TraceEnabled()) {
-    last_trace_ = TraceSpan{};
-    last_trace_.name = "retier_tick";
-    last_trace_.Annotate("window", std::to_string(report.window));
-    last_trace_.Annotate("drift", TraceFormatDouble(report.drift));
-    last_trace_.Annotate("reason", report.reason);
-    last_trace_.Annotate(
-        "state", report.state == RetierState::kMigrating ? "migrating"
-                                                         : "idle");
-    last_trace_.Annotate("steps_applied",
-                         std::to_string(report.steps_applied));
-    last_trace_.Annotate("steps_quarantined",
-                         std::to_string(report.steps_quarantined));
-    last_trace_.Annotate("window_bytes",
-                         std::to_string(report.window_bytes));
-    if (report.evaluated) {
-      last_trace_.Annotate("improvement_pct",
-                           TraceFormatDouble(report.improvement_pct));
-    }
-  }
   return report;
 }
 

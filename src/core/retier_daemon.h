@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/trace.h"
 #include "core/migrator.h"
 #include "core/tiered_table.h"
 #include "selection/reallocation.h"
@@ -84,7 +83,6 @@ struct RetierPlan {
   double improvement_pct = 0.0;
   double current_cost = 0.0;       // F(y) at planning time
   double target_objective = 0.0;   // F(x*) + beta * moved bytes
-  std::string solver_winner;
   std::vector<uint8_t> target;     // x*, full column arity
   std::vector<RetierStep> steps;   // evictions first, then loads
   uint64_t applied_steps = 0;
@@ -159,8 +157,6 @@ class RetierDaemon {
   }
   uint64_t steps_remaining() const;
   const RetierOptions& options() const { return options_; }
-  /// Trace of the most recent tick (empty name when HYTAP_TRACE is off).
-  const TraceSpan& last_trace() const { return last_trace_; }
 
  private:
   bool ShouldEvaluate(uint64_t window, double drift, std::string* reason);
@@ -189,7 +185,6 @@ class RetierDaemon {
   RetierPlan plan_;
   std::vector<RetierPlan> history_;
   uint64_t next_plan_id_ = 1;
-  TraceSpan last_trace_;
 };
 
 }  // namespace hytap

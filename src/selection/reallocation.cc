@@ -1,7 +1,6 @@
 #include "selection/reallocation.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/assert.h"
 #include "selection/cost_model.h"
@@ -23,9 +22,7 @@ ReallocationResult SelectWithReallocation(const SelectionProblem& problem) {
   HYTAP_ASSERT(problem.beta >= 0.0, "beta must be non-negative");
 
   ReallocationResult result;
-  PortfolioResult solved = SolverPortfolio().Solve(problem);
-  result.selection = std::move(solved.selection);
-  result.winner = std::move(solved.winner);
+  result.selection = SolverPortfolio().Solve(problem).selection;
 
   // F(y): price staying put under the same model. The move term is zero at
   // x = y, so the plain scan cost is the full objective of the status quo.

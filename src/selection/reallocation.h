@@ -2,7 +2,6 @@
 #define HYTAP_SELECTION_REALLOCATION_H_
 
 #include <cstdint>
-#include <string>
 
 #include "selection/selectors.h"
 
@@ -13,8 +12,6 @@ namespace hytap {
 /// plans from.
 struct ReallocationResult {
   SelectionResult selection;
-  /// The portfolio solver whose placement won the race.
-  std::string winner;
   /// Columns whose tier changes vs the current allocation y, and the bytes
   /// those moves migrate.
   uint64_t planned_moves = 0;
@@ -32,11 +29,11 @@ struct ReallocationResult {
 /// Solves the selection problem with the reallocation term
 ///   c_i(x_i) = a_i * (S_i x_i + alpha x_i) + beta * a_i * |x_i - y_i|
 /// for the current allocation y = `problem.current` and move weight
-/// `problem.beta` (both must be set; beta may be 0) by racing the anytime
-/// solver portfolio (PortfolioOptions::FromEnv(): an unlimited budget, so
-/// the result is the deterministic exact optimum and the re-tiering daemon
-/// stays bit-identical across runs). Every racing solver prices the move
-/// term through the shared KnapsackView.
+/// `problem.beta` (both must be set; beta may be 0) through the solver
+/// portfolio (PortfolioOptions::FromEnv(): an unlimited budget, so the
+/// result is the deterministic exact optimum and the re-tiering daemon
+/// stays bit-identical across runs). Every solver prices the move term
+/// through the shared KnapsackView.
 ReallocationResult SelectWithReallocation(const SelectionProblem& problem);
 
 /// Sizes beta from the maintenance window (§III-D): a move costs

@@ -60,7 +60,7 @@ void SortByTheta(const std::vector<double>& theta, std::vector<uint32_t>* ids) {
 
 /// The performance order: the unpinned indices with theta < 0, sorted by
 /// theta. The explicit selector, the frontier, the Dantzig bound and the
-/// portfolio's explicit and greedy lanes all walk this one order.
+/// portfolio's first two incumbents all walk this one order.
 std::vector<uint32_t> PerformanceOrder(const std::vector<double>& theta,
                                        const std::vector<uint8_t>& pinned) {
   std::vector<uint32_t> order;

@@ -52,7 +52,7 @@ struct SelectionResult {
 /// non-pinned columns whose selection strictly improves the objective
 /// (profit_i = -a_i * theta_i > 0) against capacity = budget minus pinned
 /// bytes. Built once and shared by the exact selector and the anytime solver
-/// portfolio so every racing algorithm prices solutions identically.
+/// portfolio so its walks and its exact search price solutions identically.
 struct KnapsackView {
   std::vector<KnapsackItem> items;
   std::vector<size_t> item_columns;  // item k -> column index

@@ -1,6 +1,7 @@
 #include "solver/branch_and_bound.h"
 
 #include <algorithm>
+#include <chrono>
 #include <mutex>
 #include <numeric>
 
@@ -18,7 +19,7 @@ namespace {
 constexpr size_t kSplitDepth = 11;
 
 /// Nodes between flushes of the local node counter into the shared budget /
-/// cancellation check. Bounds stop latency without hot-loop atomics.
+/// deadline check. Bounds stop latency without hot-loop atomics.
 constexpr uint64_t kNodeBatch = 256;
 
 /// Determinism (DESIGN.md §13). The search runs in two phases:
@@ -45,12 +46,12 @@ struct SearchContext {
   double weight_tol = 0.0;
   double prune_margin = 0.0;
   uint64_t max_nodes = 0;
-  const std::atomic<bool>* cancel = nullptr;
+  std::chrono::steady_clock::time_point deadline;
 
   std::atomic<uint64_t> nodes{0};
   std::atomic<uint64_t> pruned{0};
   std::atomic<bool> exhausted{false};
-  std::atomic<bool> cancelled{false};
+  std::atomic<bool> deadline_hit{false};
 
   /// Shared incumbent: the profit is read lock-free by the pruning hot
   /// path; the vector (and the improvement callback) update under a mutex.
@@ -67,7 +68,7 @@ struct SearchContext {
 
   bool ShouldStop() const {
     return exhausted.load(std::memory_order_relaxed) ||
-           cancelled.load(std::memory_order_relaxed);
+           deadline_hit.load(std::memory_order_relaxed);
   }
 
   /// Dantzig bound from `level` in O(log N): greedy whole-item fill via the
@@ -114,13 +115,14 @@ struct SearchContext {
   }
 
   /// Flushes a local node batch into the shared counter and re-checks the
-  /// budget and the cancel token. Returns true when the search must stop.
+  /// node budget and the deadline. Returns true when the search must stop.
   bool Tick(uint64_t* unflushed) {
     if (++*unflushed >= kNodeBatch) {
       nodes.fetch_add(*unflushed, std::memory_order_relaxed);
       *unflushed = 0;
-      if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-        cancelled.store(true, std::memory_order_relaxed);
+      if (deadline != std::chrono::steady_clock::time_point::max() &&
+          std::chrono::steady_clock::now() >= deadline) {
+        deadline_hit.store(true, std::memory_order_relaxed);
       }
       if (nodes.load(std::memory_order_relaxed) > max_nodes) {
         exhausted.store(true, std::memory_order_relaxed);
@@ -342,7 +344,7 @@ KnapsackSolution SolveKnapsack(const std::vector<KnapsackItem>& items,
   // that is what the prefix-sum cancellation error scales with.
   ctx.prune_margin = 1e-9 * std::max(1.0, total_profit);
   ctx.max_nodes = options.max_nodes;
-  ctx.cancel = options.cancel;
+  ctx.deadline = options.deadline;
   ctx.order = &order;
   ctx.options = &options;
 
@@ -368,9 +370,9 @@ KnapsackSolution SolveKnapsack(const std::vector<KnapsackItem>& items,
 
   solution.nodes = ctx.nodes.load(std::memory_order_relaxed);
   solution.pruned = ctx.pruned.load(std::memory_order_relaxed);
-  solution.cancelled = ctx.cancelled.load(std::memory_order_relaxed);
+  solution.deadline_hit = ctx.deadline_hit.load(std::memory_order_relaxed);
   solution.optimal = !ctx.exhausted.load(std::memory_order_relaxed) &&
-                     !solution.cancelled;
+                     !solution.deadline_hit;
 
   std::vector<uint8_t> best_take;
   double best_weight = 0.0;

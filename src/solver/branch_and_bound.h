@@ -1,7 +1,7 @@
 #ifndef HYTAP_SOLVER_BRANCH_AND_BOUND_H_
 #define HYTAP_SOLVER_BRANCH_AND_BOUND_H_
 
-#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -26,8 +26,8 @@ struct KnapsackSolution {
   /// (lp_bound - profit) / lp_bound, clamped >= 0. For a completed search
   /// this is the LP integrality gap, not a suboptimality claim.
   double gap = 0.0;
-  bool optimal = true;    // false if the node budget was exhausted/cancelled
-  bool cancelled = false; // the external cancel token fired mid-search
+  bool optimal = true;       // false if the node budget or deadline ran out
+  bool deadline_hit = false; // the deadline stopped the search
 };
 
 /// Knobs of the parallel anytime search.
@@ -39,12 +39,14 @@ struct KnapsackOptions {
   /// participates). 1 = serial. The final answer is identical for every
   /// worker count (see the .cc determinism note).
   uint32_t workers = 1;
-  /// External cancellation (anytime use): polled every node batch; when it
-  /// fires the best incumbent so far is returned with cancelled = true.
-  const std::atomic<bool>* cancel = nullptr;
+  /// Wall-clock deadline (anytime use), checked every node batch; max() =
+  /// none, and then no clock is read. Once it passes, the best incumbent so
+  /// far is returned with deadline_hit = true.
+  std::chrono::steady_clock::time_point deadline =
+      std::chrono::steady_clock::time_point::max();
   /// Invoked (serialized under an internal mutex) whenever the shared
   /// incumbent improves; `take` is in input-item order. Used by the solver
-  /// portfolio to publish anytime snapshots.
+  /// portfolio's gap-vs-time curve.
   std::function<void(double profit, double weight,
                      const std::vector<uint8_t>& take)>
       on_improve;

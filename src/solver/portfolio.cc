@@ -1,10 +1,12 @@
 #include "solver/portfolio.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <iterator>
 #include <limits>
+#include <utility>
 
-#include "common/assert.h"
 #include "common/env.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
@@ -56,151 +58,7 @@ struct SolverMetrics {
   }
 };
 
-class ExactBnbSolver final : public PlacementSolver {
- public:
-  ExactBnbSolver(const KnapsackView* view, uint32_t workers)
-      : PlacementSolver("exact", view), workers_(workers) {}
-
-  uint64_t nodes() const override {
-    return nodes_.load(std::memory_order_relaxed);
-  }
-  uint64_t pruned() const override {
-    return pruned_.load(std::memory_order_relaxed);
-  }
-
- protected:
-  void Solve() override {
-    KnapsackOptions options;
-    options.workers = workers_;
-    options.cancel = &stop_;
-    options.on_improve = [this](double profit, double /*weight*/,
-                                const std::vector<uint8_t>& take) {
-      Publish(take, profit);
-    };
-    const KnapsackSolution solution =
-        SolveKnapsack(view().items, view().capacity, options);
-    nodes_.store(solution.nodes, std::memory_order_relaxed);
-    pruned_.store(solution.pruned, std::memory_order_relaxed);
-    if (solution.optimal) {
-      // The completed search ends with the deterministic reconstruction;
-      // install it even at equal profit so the final answer is
-      // schedule-independent.
-      PublishFinal(solution.take, solution.profit);
-      MarkOptimal();
-    }
-  }
-
- private:
-  const uint32_t workers_;
-  std::atomic<uint64_t> nodes_{0};
-  std::atomic<uint64_t> pruned_{0};
-};
-
-/// The explicit (strict) and greedy (filling) lanes: one walk of the view's
-/// performance order, the allocation SelectExplicit returns.
-class OrderSolver final : public PlacementSolver {
- public:
-  OrderSolver(const KnapsackView* view, bool filling)
-      : PlacementSolver(filling ? "greedy" : "explicit", view),
-        filling_(filling) {}
-
- protected:
-  void Solve() override {
-    if (filling_) {
-      // Publish the feasible baseline first: even an immediately cancelled
-      // portfolio run holds a valid incumbent.
-      Publish(std::vector<uint8_t>(view().items.size(), 0), 0.0);
-    }
-    const std::vector<uint8_t> take = view().Fill(filling_);
-    double profit = 0.0;
-    for (size_t k = 0; k < take.size(); ++k) {
-      if (take[k]) profit += view().items[k].profit;
-    }
-    Publish(take, profit);
-  }
-
- private:
-  const bool filling_;
-};
-
 }  // namespace
-
-PlacementSolver::PlacementSolver(std::string name, const KnapsackView* view)
-    : name_(std::move(name)), view_(view) {
-  HYTAP_ASSERT(view_ != nullptr, "solver needs a knapsack view");
-}
-
-PlacementSolver::~PlacementSolver() { StopSolving(); }
-
-void PlacementSolver::StartSolving() {
-  HYTAP_ASSERT(!thread_.joinable(), "solver already started");
-  start_ = Clock::now();
-  thread_ = std::thread([this] {
-    Solve();
-    finished_.store(true, std::memory_order_release);
-  });
-}
-
-void PlacementSolver::StopSolving() {
-  stop_.store(true, std::memory_order_relaxed);
-  Join();
-}
-
-void PlacementSolver::Join() {
-  if (thread_.joinable()) thread_.join();
-}
-
-SolverIncumbent PlacementSolver::GetIncumbent() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return incumbent_;
-}
-
-std::vector<IncumbentEvent> PlacementSolver::TakeTimeline() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return std::move(timeline_);
-}
-
-void PlacementSolver::Publish(const std::vector<uint8_t>& take,
-                              double profit) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (incumbent_.valid && profit <= incumbent_.profit) return;
-  PublishLocked(take, profit);
-}
-
-void PlacementSolver::PublishFinal(const std::vector<uint8_t>& take,
-                                   double profit) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (incumbent_.valid && profit < incumbent_.profit) return;
-  PublishLocked(take, profit);
-}
-
-void PlacementSolver::PublishLocked(const std::vector<uint8_t>& take,
-                                    double profit) {
-  incumbent_.valid = true;
-  incumbent_.take = take;
-  incumbent_.profit = profit;
-  incumbent_.objective = view_->base_objective - profit;
-  incumbent_.elapsed_seconds = Seconds(start_);
-  updates_.fetch_add(1, std::memory_order_relaxed);
-  IncumbentEvent event;
-  event.solver = name_;
-  event.elapsed_seconds = incumbent_.elapsed_seconds;
-  event.objective = incumbent_.objective;
-  timeline_.push_back(std::move(event));
-}
-
-std::unique_ptr<PlacementSolver> MakeExactBnbSolver(const KnapsackView* view,
-                                                    uint32_t workers) {
-  return std::make_unique<ExactBnbSolver>(view, workers);
-}
-
-std::unique_ptr<PlacementSolver> MakeExplicitSolver(const KnapsackView* view) {
-  return std::make_unique<OrderSolver>(view, /*filling=*/false);
-}
-
-std::unique_ptr<PlacementSolver> MakeGreedySolver(const KnapsackView* view) {
-  return std::make_unique<OrderSolver>(view, /*filling=*/true);
-}
 
 PortfolioOptions PortfolioOptions::FromEnv() {
   PortfolioOptions options;
@@ -218,68 +76,90 @@ PortfolioResult SolverPortfolio::Solve(const SelectionProblem& problem) {
   const KnapsackView view = BuildKnapsackView(problem, model);
   const double model_seconds = Seconds(start);
 
-  const uint32_t workers =
-      options_.workers != 0
-          ? options_.workers
-          : uint32_t(ThreadPool::DefaultWorkerCount());
-
-  std::vector<std::unique_ptr<PlacementSolver>> solvers;
-  solvers.push_back(MakeExactBnbSolver(&view, workers));
-  solvers.push_back(MakeExplicitSolver(&view));
-  solvers.push_back(MakeGreedySolver(&view));
-
-  for (auto& solver : solvers) solver->StartSolving();
-
   PortfolioResult result;
+  const auto search_start = Clock::now();
+  // Events are recorded as they happen, so the timeline is in time order.
+  auto record = [&](const char* solver, double profit) {
+    IncumbentEvent event;
+    event.solver = solver;
+    event.elapsed_seconds = Seconds(search_start);
+    event.objective = view.base_objective - profit;
+    result.timeline.push_back(std::move(event));
+  };
+
+  // One incumbent per solver, in the tie order exact > explicit > greedy.
+  struct Incumbent {
+    const char* solver;
+    bool valid;
+    std::vector<uint8_t> take;  // over the view's items
+    double profit;
+  };
+  Incumbent incumbents[] = {
+      {"exact", false, {}, 0.0},
+      {"explicit", false, {}, 0.0},
+      {"greedy", false, {}, 0.0},
+  };
+  for (bool filling : {false, true}) {
+    Incumbent& walk = incumbents[filling ? 2 : 1];
+    walk.take = view.Fill(filling);
+    for (size_t k = 0; k < walk.take.size(); ++k) {
+      if (walk.take[k]) walk.profit += view.items[k].profit;
+    }
+    walk.valid = true;
+    record(walk.solver, walk.profit);
+  }
+
+  KnapsackOptions options;
+  options.workers = options_.workers != 0
+                        ? options_.workers
+                        : uint32_t(ThreadPool::DefaultWorkerCount());
   if (options_.budget_ms > 0.0) {
-    const auto deadline =
+    options.deadline =
         start + std::chrono::duration_cast<Clock::duration>(
                     std::chrono::duration<double, std::milli>(
                         options_.budget_ms));
-    for (;;) {
-      const bool all_finished =
-          std::all_of(solvers.begin(), solvers.end(),
-                      [](const auto& s) { return s->Finished(); });
-      if (all_finished) break;
-      if (Clock::now() >= deadline) {
-        result.deadline_hit = true;
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    for (auto& solver : solvers) solver->StopSolving();
-  } else {
-    for (auto& solver : solvers) solver->Join();
   }
+  options.on_improve = [&record](double profit, double /*weight*/,
+                                  const std::vector<uint8_t>& /*take*/) {
+    record("exact", profit);
+  };
+  KnapsackSolution solution =
+      SolveKnapsack(view.items, view.capacity, options);
+  Incumbent& exact = incumbents[0];
+  // A stopped search holds an incumbent once it improved on the empty take;
+  // a completed one ends with the canonical reconstruction of the optimum,
+  // which makes the final answer schedule-independent.
+  exact.valid = solution.optimal || solution.profit > 0.0;
+  if (solution.optimal) record("exact", solution.profit);
+  exact.take = std::move(solution.take);
+  exact.profit = solution.profit;
+  result.deadline_hit = solution.deadline_hit;
+  result.nodes = solution.nodes;
+  result.pruned = solution.pruned;
+  result.incumbent_updates = result.timeline.size();
 
-  // Winner: lowest objective; ties (within 1e-12 relative) resolve by the
-  // construction order exact > explicit > greedy, which keeps an unlimited
-  // budget bit-identical to SelectIntegerOptimal.
-  std::vector<SolverIncumbent> incumbents;
-  incumbents.reserve(solvers.size());
-  for (auto& solver : solvers) incumbents.push_back(solver->GetIncumbent());
+  // Winner: lowest objective; ties (within 1e-12 relative) resolve in the
+  // order exact > explicit > greedy, which keeps an unlimited budget
+  // bit-identical to SelectIntegerOptimal. The walks are always valid, so
+  // there is a winner.
+  auto objective = [&view](const Incumbent& inc) {
+    return view.base_objective - inc.profit;
+  };
   double best_objective = std::numeric_limits<double>::infinity();
-  for (const SolverIncumbent& inc : incumbents) {
-    if (inc.valid) best_objective = std::min(best_objective, inc.objective);
+  for (const Incumbent& inc : incumbents) {
+    if (inc.valid) best_objective = std::min(best_objective, objective(inc));
   }
-  size_t winner = solvers.size();
   const double tie_tol = 1e-12 * std::max(1.0, std::abs(best_objective));
-  for (size_t s = 0; s < solvers.size(); ++s) {
-    if (incumbents[s].valid &&
-        incumbents[s].objective <= best_objective + tie_tol) {
-      winner = s;
-      break;
-    }
-  }
-  HYTAP_ASSERT(winner < solvers.size(),
-               "portfolio ended without any incumbent");
+  const Incumbent* winner = std::find_if(
+      std::begin(incumbents), std::end(incumbents), [&](const Incumbent& inc) {
+        return inc.valid && objective(inc) <= best_objective + tie_tol;
+      });
 
-  result.winner = solvers[winner]->name();
+  result.winner = winner->solver;
   result.lp_bound = view.ObjectiveLowerBound();
-  result.proved_optimal = solvers[winner]->ProvedOptimal();
+  result.proved_optimal = winner == &exact && solution.optimal;
 
-  result.selection =
-      FinishResult(problem, model, view.Expand(incumbents[winner].take));
+  result.selection = FinishResult(problem, model, view.Expand(winner->take));
   result.selection.model_seconds = model_seconds;
   result.selection.optimal = result.proved_optimal;
   result.selection.lp_bound = result.lp_bound;
@@ -289,21 +169,9 @@ PortfolioResult SolverPortfolio::Solve(const SelectionProblem& problem) {
                               std::abs(result.lp_bound));
   }
   result.selection.gap = result.gap;
-
-  for (auto& solver : solvers) {
-    result.nodes += solver->nodes();
-    result.pruned += solver->pruned();
-    result.incumbent_updates += solver->incumbent_updates();
-    for (IncumbentEvent& event : solver->TakeTimeline()) {
-      result.timeline.push_back(std::move(event));
-    }
-  }
   result.selection.solver_nodes = result.nodes;
   result.selection.solver_pruned = result.pruned;
-  std::stable_sort(result.timeline.begin(), result.timeline.end(),
-                   [](const IncumbentEvent& a, const IncumbentEvent& b) {
-                     return a.elapsed_seconds < b.elapsed_seconds;
-                   });
+
   // Portfolio-wide gap at each event: running best across solvers, so the
   // curve is monotonically non-increasing by construction.
   double running_best = std::numeric_limits<double>::infinity();

@@ -1,16 +1,14 @@
 // Anytime solver portfolio (DESIGN.md §13): determinism of the parallel
 // branch-and-bound, bit-for-bit agreement with the exact selector at an
-// unlimited budget, the explicit and greedy lanes against SelectExplicit,
-// valid incumbents under mid-solve cancellation, monotone gap timelines that
-// end within 1 % of exact, and the analytic LP bound against the simplex
-// relaxation.
+// unlimited budget, the view's strict and filling walks against
+// SelectExplicit, valid incumbents once the deadline has passed, monotone
+// gap timelines that end within 1 % of exact, and the analytic LP bound
+// against the simplex relaxation.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -105,19 +103,31 @@ TEST(ParallelKnapsackTest, GapAndCountersAreReported) {
               1e-12);
 }
 
-TEST(ParallelKnapsackTest, CancelTokenStopsTheSearch) {
-  // A large hard instance plus an already-fired token: the solver must
-  // return promptly with cancelled = true and a feasible incumbent.
+TEST(ParallelKnapsackTest, ExpiredDeadlineStopsTheSearch) {
+  // A large hard instance whose deadline has already passed: the search must
+  // return promptly with deadline_hit set and a feasible incumbent whose
+  // profit and weight are those of its take.
   const std::vector<KnapsackItem> items = RandomItems(5000, 11);
-  std::atomic<bool> cancel{true};
+  const double capacity = 0.25 * 5000.0 * 50.0;
   KnapsackOptions options;
   options.workers = 2;
-  options.cancel = &cancel;
-  const KnapsackSolution solution =
-      SolveKnapsack(items, 0.25 * 5000.0 * 50.0, options);
-  EXPECT_TRUE(solution.cancelled);
+  options.deadline = std::chrono::steady_clock::now();
+  const KnapsackSolution solution = SolveKnapsack(items, capacity, options);
+  EXPECT_TRUE(solution.deadline_hit);
   EXPECT_FALSE(solution.optimal);
-  EXPECT_LE(solution.weight, 0.25 * 5000.0 * 50.0 + 1e-6);
+  ASSERT_EQ(solution.take.size(), items.size());
+  double weight = 0.0;
+  double profit = 0.0;
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (solution.take[i]) {
+      weight += items[i].weight;
+      profit += items[i].profit;
+    }
+  }
+  EXPECT_GT(solution.profit, 0.0);
+  EXPECT_LE(weight, capacity * (1.0 + 1e-9));
+  EXPECT_NEAR(weight, solution.weight, 1e-9 * capacity);
+  EXPECT_NEAR(profit, solution.profit, 1e-9 * std::max(1.0, profit));
 }
 
 TEST(PortfolioTest, UnlimitedBudgetMatchesExactSelectorBitForBit) {
@@ -148,9 +158,9 @@ TEST(PortfolioTest, UnlimitedBudgetMatchesExactSelectorBitForBit) {
 }
 
 TEST(PortfolioTest, DeadlineLeavesValidIncumbent) {
-  // Large instance with a ~zero budget: the race is cancelled almost
+  // Large instance with a ~zero budget: the search stops almost
   // immediately, yet the portfolio must still return a feasible placement
-  // (the greedy baseline publishes before doing any work).
+  // (the two walks are incumbents before the search starts).
   const Workload workload = GenerateMultiTenantWorkload(200, 50, 4, 21);
   const SelectionProblem problem = MakeProblem(workload, 0.2);
 
@@ -167,33 +177,24 @@ TEST(PortfolioTest, DeadlineLeavesValidIncumbent) {
             result.lp_bound - 1e-9 * std::abs(result.lp_bound));
 }
 
-TEST(PortfolioTest, CancellationMidSolveLeavesValidIncumbent) {
-  // Drive a solver directly through the start/stop idiom: start on a hard
-  // instance, stop mid-search, and check the incumbent snapshot is feasible.
-  const Workload workload = GenerateMultiTenantWorkload(100, 100, 4, 33);
-  const SelectionProblem problem = MakeProblem(workload, 0.25);
-  CostModel model(*problem.workload, problem.params);
-  const KnapsackView view = BuildKnapsackView(problem, model);
-
-  auto solver = MakeExactBnbSolver(&view, 2);
-  solver->StartSolving();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  solver->StopSolving();
-
-  const SolverIncumbent incumbent = solver->GetIncumbent();
-  if (incumbent.valid) {
-    double weight = 0.0;
-    double profit = 0.0;
-    ASSERT_EQ(incumbent.take.size(), view.items.size());
-    for (size_t k = 0; k < view.items.size(); ++k) {
-      if (incumbent.take[k]) {
-        weight += view.items[k].weight;
-        profit += view.items[k].profit;
-      }
-    }
-    EXPECT_LE(weight, view.capacity * (1.0 + 1e-9) + 1e-6);
-    EXPECT_NEAR(profit, incumbent.profit, 1e-6 * std::max(1.0, profit));
-    EXPECT_GE(incumbent.objective, view.ObjectiveLowerBound() - 1e-6);
+TEST(PortfolioTest, ExpiredDeadlineReturnsTheFillWalk) {
+  // The deadline passes before the search starts. Before its first deadline
+  // check a lane reaches at most about 267 levels (the 11-level split prefix
+  // plus one 256-node batch), far fewer than the 986 items of the strict
+  // walk, so no exact incumbent can beat the filling walk (999 of the 1,631
+  // profitable items) at any worker count.
+  const Workload workload = GenerateMultiTenantWorkload(200, 50, 4, 21);
+  const SelectionProblem problem = MakeProblem(workload, 0.10);
+  const SelectionResult fill = SelectExplicit(problem, true);
+  for (uint32_t workers : {1u, 2u, 4u}) {
+    PortfolioOptions options;
+    options.budget_ms = 1e-6;
+    options.workers = workers;
+    const PortfolioResult result = SolverPortfolio(options).Solve(problem);
+    EXPECT_EQ(result.winner, "greedy") << workers << " workers";
+    EXPECT_TRUE(result.deadline_hit) << workers << " workers";
+    EXPECT_FALSE(result.proved_optimal) << workers << " workers";
+    EXPECT_EQ(result.selection.in_dram, fill.in_dram) << workers << " workers";
   }
 }
 
@@ -239,21 +240,17 @@ TEST(PortfolioTest, BenchCurvesEndWithinOnePercentOfExact) {
 
 TEST(PortfolioTest, LanesReturnTheExplicitSelectorsAllocation) {
   // 385 of the 2000 columns repeat another column's theta exactly, so the
-  // lanes must break theta ties by column id, as SelectExplicit does.
+  // view's walks must break theta ties by column id, as SelectExplicit does.
   const Workload workload = GenerateMultiTenantWorkload(40, 50, 20, 42);
   for (int step = 1; step <= 19; ++step) {
     const SelectionProblem problem = MakeProblem(workload, 0.05 * step);
     CostModel model(*problem.workload, problem.params);
     const KnapsackView view = BuildKnapsackView(problem, model);
     for (bool filling : {false, true}) {
-      auto lane = filling ? MakeGreedySolver(&view) : MakeExplicitSolver(&view);
-      lane->StartSolving();
-      lane->Join();
-      const SolverIncumbent incumbent = lane->GetIncumbent();
-      ASSERT_TRUE(incumbent.valid);
-      EXPECT_EQ(view.Expand(incumbent.take),
+      EXPECT_EQ(view.Expand(view.Fill(filling)),
                 SelectExplicit(problem, filling).in_dram)
-          << lane->name() << " lane, budget share " << 0.05 * step;
+          << (filling ? "filling" : "strict") << " walk, budget share "
+          << 0.05 * step;
     }
   }
 }

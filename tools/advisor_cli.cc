@@ -9,13 +9,12 @@
 // allocation plus model statistics.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "io/workload_io.h"
 #include "selection/heuristics.h"
 #include "selection/selectors.h"
+#include "tools/cli_flags.h"
 
 using namespace hytap;
 
@@ -41,20 +40,15 @@ int main(int argc, char** argv) {
   bool csv = false;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&](double* out) {
-      if (i + 1 >= argc) return false;
-      *out = std::atof(argv[++i]);
-      return true;
-    };
     if (arg == "--budget") {
-      if (!next(&budget_w)) return Usage();
+      if (!NextNumber(argc, argv, &i, &budget_w)) return Usage();
     } else if (arg == "--algorithm") {
       if (i + 1 >= argc) return Usage();
       algorithm = argv[++i];
     } else if (arg == "--c-mm") {
-      if (!next(&params.c_mm)) return Usage();
+      if (!NextNumber(argc, argv, &i, &params.c_mm)) return Usage();
     } else if (arg == "--c-ss") {
-      if (!next(&params.c_ss)) return Usage();
+      if (!NextNumber(argc, argv, &i, &params.c_ss)) return Usage();
     } else if (arg == "--csv") {
       csv = true;
     } else {
@@ -63,7 +57,11 @@ int main(int argc, char** argv) {
   }
   if (budget_w < 0.0 || budget_w > 1.0) {
     std::fprintf(stderr, "budget must be in [0, 1]\n");
-    return 2;
+    return Usage();
+  }
+  if (params.c_mm <= 0.0 || params.c_ss <= 0.0) {
+    std::fprintf(stderr, "--c-mm and --c-ss must be > 0\n");
+    return Usage();
   }
 
   StatusOr<Workload> workload = ReadWorkloadFile(path);

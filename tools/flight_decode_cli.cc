@@ -30,6 +30,7 @@
 #include "common/phases.h"
 #include "common/trace.h"
 #include "io/perfetto_export.h"
+#include "tools/cli_flags.h"
 
 using namespace hytap;
 
@@ -250,12 +251,10 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) return Usage();
       trace_path = argv[++i];
     } else if (arg == "--ticket") {
-      if (i + 1 >= argc) return Usage();
-      ticket_filter = std::strtoull(argv[++i], nullptr, 10);
+      if (!NextNumber(argc, argv, &i, &ticket_filter)) return Usage();
       have_ticket = true;
     } else if (arg == "--window") {
-      if (i + 1 >= argc) return Usage();
-      window_filter = std::strtoull(argv[++i], nullptr, 10);
+      if (!NextNumber(argc, argv, &i, &window_filter)) return Usage();
       have_window = true;
     } else if (arg == "--type") {
       if (i + 1 >= argc) return Usage();

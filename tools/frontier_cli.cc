@@ -5,32 +5,42 @@
 // Usage: frontier_cli <workload-file> [--c-mm <x>] [--c-ss <x>]
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "io/workload_io.h"
 #include "selection/selectors.h"
+#include "tools/cli_flags.h"
 
 using namespace hytap;
 
+namespace {
+
+int Usage() {
+  std::fprintf(stderr,
+               "usage: frontier_cli <workload-file> [--c-mm <x>] "
+               "[--c-ss <x>]\n");
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: frontier_cli <workload-file> [--c-mm <x>] "
-                 "[--c-ss <x>]\n");
-    return 2;
-  }
+  if (argc < 2) return Usage();
   ScanCostParams params;
-  for (int i = 2; i + 1 < argc; i += 2) {
+  for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--c-mm") {
-      params.c_mm = std::atof(argv[i + 1]);
+      if (!NextNumber(argc, argv, &i, &params.c_mm)) return Usage();
     } else if (arg == "--c-ss") {
-      params.c_ss = std::atof(argv[i + 1]);
+      if (!NextNumber(argc, argv, &i, &params.c_ss)) return Usage();
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return 2;
+      return Usage();
     }
+  }
+  if (params.c_mm <= 0.0 || params.c_ss <= 0.0) {
+    std::fprintf(stderr, "--c-mm and --c-ss must be > 0\n");
+    return Usage();
   }
   StatusOr<Workload> workload = ReadWorkloadFile(argv[1]);
   if (!workload.ok()) {

@@ -42,6 +42,7 @@
 #include "core/tiered_table.h"
 #include "serving/latency_profiler.h"
 #include "serving/session_manager.h"
+#include "tools/cli_flags.h"
 #include "workload/enterprise.h"
 
 using namespace hytap;
@@ -114,26 +115,16 @@ int main(int argc, char** argv) {
   Options options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next_u64 = [&](uint64_t* out) {
-      if (i + 1 >= argc) return false;
-      *out = std::strtoull(argv[++i], nullptr, 10);
-      return true;
-    };
-    uint64_t value = 0;
     if (arg == "--rows") {
-      if (!next_u64(&value)) return Usage();
-      options.rows = size_t(value);
+      if (!NextNumber(argc, argv, &i, &options.rows)) return Usage();
     } else if (arg == "--cols") {
-      if (!next_u64(&value)) return Usage();
-      options.cols = size_t(value);
+      if (!NextNumber(argc, argv, &i, &options.cols)) return Usage();
     } else if (arg == "--queries") {
-      if (!next_u64(&value)) return Usage();
-      options.queries = size_t(value);
+      if (!NextNumber(argc, argv, &i, &options.queries)) return Usage();
     } else if (arg == "--threads") {
-      if (!next_u64(&value)) return Usage();
-      options.threads = uint32_t(value);
+      if (!NextNumber(argc, argv, &i, &options.threads)) return Usage();
     } else if (arg == "--seed") {
-      if (!next_u64(&options.seed)) return Usage();
+      if (!NextNumber(argc, argv, &i, &options.seed)) return Usage();
     } else if (arg == "--trace") {
       options.trace = true;
     } else if (arg == "--trace-out") {

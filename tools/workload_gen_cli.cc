@@ -6,12 +6,12 @@
 //
 // Output goes to stdout in the `hytap-workload v1` format.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "io/workload_io.h"
+#include "tools/cli_flags.h"
 #include "workload/enterprise.h"
 #include "workload/example1.h"
 
@@ -35,17 +35,21 @@ int main(int argc, char** argv) {
   uint64_t seed = 1;
   if (kind == "example1") {
     Example1Params params;
-    for (int i = 2; i + 1 < argc; i += 2) {
+    for (int i = 2; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--columns") {
-        params.num_columns = size_t(std::atoll(argv[i + 1]));
+        if (!NextNumber(argc, argv, &i, &params.num_columns)) return Usage();
       } else if (arg == "--queries") {
-        params.num_queries = size_t(std::atoll(argv[i + 1]));
+        if (!NextNumber(argc, argv, &i, &params.num_queries)) return Usage();
       } else if (arg == "--seed") {
-        params.seed = uint64_t(std::atoll(argv[i + 1]));
+        if (!NextNumber(argc, argv, &i, &params.seed)) return Usage();
       } else {
         return Usage();
       }
+    }
+    if (params.num_columns < 2) {
+      std::fprintf(stderr, "example1 needs --columns >= 2\n");
+      return Usage();
     }
     std::fputs(SerializeWorkload(GenerateExample1(params)).c_str(), stdout);
     return 0;
@@ -53,10 +57,9 @@ int main(int argc, char** argv) {
   if (kind == "enterprise") {
     if (argc < 3) return Usage();
     const std::string table = argv[2];
-    for (int i = 3; i + 1 < argc; i += 2) {
-      if (std::string(argv[i]) == "--seed") {
-        seed = uint64_t(std::atoll(argv[i + 1]));
-      } else {
+    for (int i = 3; i < argc; ++i) {
+      if (std::string(argv[i]) != "--seed" ||
+          !NextNumber(argc, argv, &i, &seed)) {
         return Usage();
       }
     }
